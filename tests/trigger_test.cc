@@ -268,6 +268,83 @@ TEST(GoldenEquivalenceTest, LegacyEqualsComposedTwinSerialAndParallel) {
 }
 
 // ---------------------------------------------------------------------------
+// Frozen oracle: every registry name reproduces EvalScores recorded (%.17g)
+// before the legacy names became '<base>+<trigger>' aliases, serial and at
+// pool width 8
+// ---------------------------------------------------------------------------
+
+struct FrozenScores {
+  const char* name;      // ClassifierRegistry name
+  EvalScores folds[2];   // {accuracy, f1, earliness, harmonic_mean} per fold
+};
+
+const std::vector<FrozenScores>& FrozenRegistryScores() {
+  static const auto* kFrozen = new std::vector<FrozenScores>{
+      {"ecec",
+       {{1, 1, 0.15625, 0.9152542372881356},
+        {0.66666666666666663, 0.625, 0.15104166666666666, 0.7468499427262314}}},
+      {"economy-k",
+       {{1, 1, 0.03125, 0.98412698412698407},
+        {1, 1, 0.03125, 0.98412698412698407}}},
+      {"ects",
+       {{1, 1, 0.057291666666666664, 0.97050938337801607},
+        {1, 1, 0.03125, 0.98412698412698407}}},
+      {"edsc",
+       {{1, 1, 0.15625, 0.9152542372881356},
+        {1, 1, 0.15625, 0.9152542372881356}}},
+      {"prob-threshold",
+       {{1, 1, 0.09375, 0.95081967213114749},
+        {1, 1, 0.09375, 0.95081967213114749}}},
+      {"s-mini",
+       {{1, 1, 0.0625, 0.967741935483871},
+        {0.91666666666666663, 0.91608391608391604, 0.0625, 0.9269662921348315}}},
+      {"s-mlstm",
+       {{1, 1, 0.0625, 0.967741935483871},
+        {0.91666666666666663, 0.91608391608391604, 0.0625, 0.9269662921348315}}},
+      {"s-weasel",
+       {{0.83333333333333337, 0.82857142857142851, 0.125, 0.85365853658536583},
+        {0.91666666666666663, 0.91608391608391604, 0.0625, 0.9269662921348315}}},
+      {"teaser",
+       {{1, 1, 0.26041666666666669, 0.85029940119760472},
+        {1, 1, 0.44791666666666669, 0.71140939597315433}}},
+  };
+  return *kFrozen;
+}
+
+void ExpectFrozenScores(const EvaluationResult& result,
+                        const FrozenScores& frozen, const std::string& what) {
+  ASSERT_EQ(result.folds.size(), 2u) << what;
+  for (size_t f = 0; f < 2; ++f) {
+    ASSERT_TRUE(result.folds[f].trained) << what << " fold " << f;
+    const EvalScores& got = result.folds[f].scores;
+    const EvalScores& want = frozen.folds[f];
+    EXPECT_EQ(got.accuracy, want.accuracy) << what << " fold " << f;
+    EXPECT_EQ(got.f1, want.f1) << what << " fold " << f;
+    EXPECT_EQ(got.earliness, want.earliness) << what << " fold " << f;
+    EXPECT_EQ(got.harmonic_mean, want.harmonic_mean) << what << " fold " << f;
+  }
+}
+
+TEST(GoldenEquivalenceTest, RegistryNamesReproduceFrozenScores) {
+  RegisterBuiltinClassifiers();
+  const Dataset data = MakeToyDataset(12, 32);
+  EXPECT_EQ(FrozenRegistryScores().size(),
+            ClassifierRegistry::Global().Names().size());
+  for (const FrozenScores& frozen : FrozenRegistryScores()) {
+    auto model = ClassifierRegistry::Global().Create(frozen.name);
+    ASSERT_TRUE(model.ok()) << frozen.name;
+    SetMaxParallelism(1);
+    const EvaluationResult serial = EvaluateToy(data, **model);
+    SetMaxParallelism(8);
+    const EvaluationResult parallel = EvaluateToy(data, **model);
+    SetMaxParallelism(0);  // restore the ETSC_THREADS / hardware default
+    ExpectFrozenScores(serial, frozen, std::string(frozen.name) + " (serial)");
+    ExpectFrozenScores(parallel, frozen,
+                       std::string(frozen.name) + " (width 8)");
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Model cache: pre-bump (v1) artifacts demote to misses, never crash
 // ---------------------------------------------------------------------------
 
