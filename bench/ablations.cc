@@ -11,12 +11,15 @@
 
 #include <cstdio>
 #include <memory>
+#include <string>
 
 #include "algos/ecec.h"
-#include "algos/ects.h"
+#include "algos/registrations.h"
 #include "algos/strut.h"
 #include "algos/teaser.h"
+#include "core/composed.h"
 #include "core/evaluation.h"
+#include "core/registry.h"
 #include "core/voting_schemes.h"
 #include "data/repository.h"
 #include "tsc/weasel.h"
@@ -50,73 +53,94 @@ etsc::EvaluationOptions Opts() {
   return options;
 }
 
+/// A registered algorithm or '<base>+<trigger>' spec.
+std::unique_ptr<etsc::EarlyClassifier> Create(const std::string& name) {
+  auto model = etsc::ClassifierRegistry::Global().Create(name);
+  ETSC_CHECK(model.ok());
+  return std::move(*model);
+}
+
+/// A composition whose trigger or grid departs from the registered defaults.
+std::unique_ptr<etsc::EarlyClassifier> Compose(
+    const char* name, std::unique_ptr<etsc::FullClassifier> base,
+    std::unique_ptr<etsc::Trigger> trigger, size_t num_prefixes,
+    bool z_normalize = false) {
+  etsc::ComposedOptions options = trigger->DefaultComposedOptions();
+  options.num_checkpoints = num_prefixes;
+  options.z_normalize = z_normalize;
+  return std::make_unique<etsc::ComposedEarlyClassifier>(
+      name, std::move(base), std::move(trigger), options);
+}
+
+std::unique_ptr<etsc::EarlyClassifier> Teaser(
+    const etsc::TeaserTriggerOptions& options, bool z_normalize = false) {
+  return Compose("TEASER", std::make_unique<etsc::WeaselClassifier>(),
+                 std::make_unique<etsc::TeaserGateTrigger>(options),
+                 /*num_prefixes=*/10, z_normalize);
+}
+
 }  // namespace
 
 int main() {
+  etsc::RegisterBuiltinClassifiers();
   const etsc::Dataset power = LoadDataset("PowerCons");
   const etsc::Dataset motions = LoadDataset("BasicMotions");
 
   std::printf("== Ablation (a): TEASER one-class SVM tier (PowerCons) ==\n");
   {
-    etsc::TeaserOptions with_svm;
-    with_svm.num_prefixes = 10;
-    Report("TEASER (two-tier)",
-           CrossValidate(power, etsc::TeaserClassifier(with_svm), Opts()));
+    etsc::TeaserTriggerOptions with_svm;
+    Report("TEASER (two-tier)", CrossValidate(power, *Teaser(with_svm), Opts()));
     // Disabling the filter: a huge nu cap makes every OC-SVM fit degenerate to
     // pass-through; emulate by forcing the filter off via max_training_points
     // = 0 is invalid, so use an accept-all variant through options.
-    etsc::TeaserOptions no_svm = with_svm;
+    etsc::TeaserTriggerOptions no_svm = with_svm;
     no_svm.ocsvm.nu = 1.0 - 1e-9;  // everything becomes an outlier bound
     no_svm.ocsvm.max_iters = 0;    // uniform alphas: accepts ~everything
     Report("TEASER (SVM tier neutered)",
-           CrossValidate(power, etsc::TeaserClassifier(no_svm), Opts()));
+           CrossValidate(power, *Teaser(no_svm), Opts()));
   }
 
   std::printf("\n== Ablation (b): TEASER z-normalisation (PowerCons) ==\n");
   {
-    etsc::TeaserOptions plain;
-    plain.num_prefixes = 10;
-    Report("TEASER (no z-norm, paper)",
-           CrossValidate(power, etsc::TeaserClassifier(plain), Opts()));
-    etsc::TeaserOptions znorm = plain;
-    znorm.z_normalize = true;
+    Report("TEASER (no z-norm, paper)", CrossValidate(power, *Teaser({}), Opts()));
     Report("TEASER (original z-norm)",
-           CrossValidate(power, etsc::TeaserClassifier(znorm), Opts()));
+           CrossValidate(power, *Teaser({}, /*z_normalize=*/true), Opts()));
   }
 
   std::printf("\n== Ablation (c): ECEC alpha trade-off (PowerCons) ==\n");
   for (double alpha : {0.5, 0.8, 0.95}) {
-    etsc::EcecOptions options;
-    options.num_prefixes = 10;
+    etsc::EcecTriggerOptions options;
     options.alpha = alpha;
     char label[32];
     std::snprintf(label, sizeof(label), "ECEC alpha=%.2f", alpha);
-    Report(label, CrossValidate(power, etsc::EcecClassifier(options), Opts()));
+    Report(label,
+           CrossValidate(power,
+                         *Compose("ECEC", std::make_unique<etsc::WeaselClassifier>(),
+                                  std::make_unique<etsc::EcecRatioTrigger>(options),
+                                  /*num_prefixes=*/10),
+                         Opts()));
   }
 
   std::printf("\n== Ablation (d): STRUT search mode (PowerCons) ==\n");
   {
-    etsc::StrutOptions grid;
-    grid.search = etsc::StrutSearch::kGrid;
     Report("S-MINI (grid)",
-           CrossValidate(power, *etsc::MakeStrutMiniRocket(grid), Opts()));
-    etsc::StrutOptions binary;
-    binary.search = etsc::StrutSearch::kBinary;
+           CrossValidate(power, *Create("minirocket+strut-grid"), Opts()));
     Report("S-MINI (binary refine)",
-           CrossValidate(power, *etsc::MakeStrutMiniRocket(binary), Opts()));
+           CrossValidate(power, *Create("s-mini"), Opts()));
   }
 
   std::printf("\n== Ablation (e): WEASEL bigrams inside S-WEASEL (PowerCons) ==\n");
   {
     Report("S-WEASEL (uni+bigrams)",
-           CrossValidate(power, *etsc::MakeStrutWeasel(false), Opts()));
+           CrossValidate(power, *Create("s-weasel"), Opts()));
     // A STRUT over WEASEL without bigrams.
     etsc::WeaselOptions no_bigrams;
     no_bigrams.use_bigrams = false;
-    auto strut = std::make_unique<etsc::StrutClassifier>(
-        std::make_unique<etsc::WeaselClassifier>(no_bigrams),
-        etsc::StrutOptions{}, "S-WEASEL-uni");
-    Report("S-WEASEL (unigrams only)", CrossValidate(power, *strut, Opts()));
+    etsc::ComposedEarlyClassifier strut(
+        "S-WEASEL-uni", std::make_unique<etsc::WeaselClassifier>(no_bigrams),
+        std::make_unique<etsc::StrutTrigger>(),
+        etsc::StrutTrigger().DefaultComposedOptions());
+    Report("S-WEASEL (unigrams only)", CrossValidate(power, strut, Opts()));
   }
 
   std::printf("\n== Ablation (f): voting schemes, ECTS on BasicMotions ==\n");
@@ -125,8 +149,7 @@ int main() {
         etsc::VotingScheme::kMajorityMeanEarliness,
         etsc::VotingScheme::kEarliestVoter,
         etsc::VotingScheme::kEarlinessWeighted}) {
-    etsc::ConfigurableVotingClassifier wrapper(
-        std::make_unique<etsc::EctsClassifier>(), scheme);
+    etsc::ConfigurableVotingClassifier wrapper(Create("ects"), scheme);
     etsc::EvaluationOptions options = Opts();
     options.wrap_univariate_with_voting = false;  // we wrapped explicitly
     Report(etsc::VotingSchemeName(scheme).c_str(),

@@ -9,17 +9,17 @@
 #include <fstream>
 #include <iomanip>
 #include <limits>
+#include <map>
 #include <sstream>
 #include <utility>
 
 #include "algos/ecec.h"
-#include "algos/economy_k.h"
-#include "algos/ects.h"
 #include "algos/edsc.h"
 #include "algos/registrations.h"
-#include "algos/strut.h"
 #include "algos/teaser.h"
 #include "core/composed.h"
+#include "core/registry.h"
+#include "tsc/weasel.h"
 #include <chrono>
 #include <thread>
 
@@ -178,25 +178,27 @@ std::string CampaignConfig::Fingerprint() const {
 Result<std::unique_ptr<EarlyClassifier>> MakePaperAlgorithm(
     const std::string& algorithm, const std::string& dataset_name,
     size_t series_length) {
-  const bool new_dataset =
-      dataset_name == "Biological" || dataset_name == "Maritime";
-  if (algorithm == "ECEC") {
-    EcecOptions options;  // N = 20, alpha = 0.8 (Table 4 defaults)
+  RegisterBuiltinClassifiers();
+  if (algorithm == "ECEC" || algorithm == "TEASER") {
     // Implementation parameter (not in Table 4): fewer WEASEL window sizes so
     // N x (cv+1) pipeline fits stay inside the single-core budget.
-    options.weasel.max_window_count = 12;
+    WeaselOptions weasel;
+    weasel.max_window_count = 12;
+    std::unique_ptr<Trigger> trigger;
+    if (algorithm == "ECEC") {
+      trigger = std::make_unique<EcecRatioTrigger>();  // N = 20, alpha = 0.8
+    } else {
+      trigger = std::make_unique<TeaserGateTrigger>();
+    }
+    ComposedOptions options = trigger->DefaultComposedOptions();
+    if (algorithm == "TEASER" &&
+        (dataset_name == "Biological" || dataset_name == "Maritime")) {
+      options.num_checkpoints = 10;  // Table 4: S = 10, 20 for UCR
+    }
     return std::unique_ptr<EarlyClassifier>(
-        std::make_unique<EcecClassifier>(options));
-  }
-  if (algorithm == "ECO-K") {
-    EconomyKOptions options;  // k in {1,2,3}, lambda = 100, cost = 0.001
-    return std::unique_ptr<EarlyClassifier>(
-        std::make_unique<EconomyKClassifier>(options));
-  }
-  if (algorithm == "ECTS") {
-    EctsOptions options;  // support = 0
-    return std::unique_ptr<EarlyClassifier>(
-        std::make_unique<EctsClassifier>(options));
+        std::make_unique<ComposedEarlyClassifier>(
+            algorithm, std::make_unique<WeaselClassifier>(weasel),
+            std::move(trigger), options));
   }
   if (algorithm == "EDSC") {
     EdscOptions options;  // CHE, k = 3, minLen = 5, maxLen = L/2
@@ -208,26 +210,18 @@ Result<std::unique_ptr<EarlyClassifier>> MakePaperAlgorithm(
     return std::unique_ptr<EarlyClassifier>(
         std::make_unique<EdscClassifier>(options));
   }
-  if (algorithm == "TEASER") {
-    TeaserOptions options;
-    options.num_prefixes = new_dataset ? 10 : 20;  // Table 4
-    options.weasel.max_window_count = 12;  // see ECEC note above
-    return std::unique_ptr<EarlyClassifier>(
-        std::make_unique<TeaserClassifier>(options));
+  // The rest run with their Table-4 defaults: the registry aliases. Composed
+  // '<base>+<trigger>' specs resolve through the same registry, so the
+  // cross-product campaign needs no per-pair code here.
+  static const auto* kRegistryNames = new std::map<std::string, std::string>{
+      {"ECO-K", "economy-k"}, {"ECTS", "ects"},       {"S-MINI", "s-mini"},
+      {"S-MLSTM", "s-mlstm"}, {"S-WEASEL", "s-weasel"}};
+  auto alias = kRegistryNames->find(algorithm);
+  if (alias != kRegistryNames->end()) {
+    return ClassifierRegistry::Global().Create(alias->second);
   }
-  if (algorithm == "S-MINI") return MakeStrutMiniRocket();
-  if (algorithm == "S-MLSTM") {
-    StrutOptions options;  // fixed fraction grid per Sec. 6.1
-    return MakeStrutMlstm(options);
-  }
-  if (algorithm == "S-WEASEL") return MakeStrutWeasel(false);
-  if (algorithm.find('+') != std::string::npos) {
-    // Composed '<base>+<trigger>' spec: resolved through the base/trigger
-    // registries, so the cross-product campaign needs no per-pair code here.
-    RegisterBuiltinClassifiers();
-    auto composed = MakeComposedFromSpec(algorithm);
-    if (!composed.ok()) return composed.status();
-    return std::unique_ptr<EarlyClassifier>(std::move(*composed));
+  if (IsComposedSpec(algorithm)) {
+    return ClassifierRegistry::Global().Create(algorithm);
   }
   std::string known;
   for (const auto& name : PaperAlgorithms()) {

@@ -21,10 +21,11 @@
 #include <thread>
 #include <vector>
 
-#include "algos/ects.h"
+#include "algos/registrations.h"
 #include "bench/bench_common.h"
 #include "core/evaluation.h"
 #include "core/parallel.h"
+#include "core/registry.h"
 #include "core/rng.h"
 #include "core/simd.h"
 #include "ml/distance.h"
@@ -219,11 +220,13 @@ double NsPerOp(Fn&& fn) {
 double CrossValidateWallSeconds(size_t width) {
   etsc::SetMaxParallelism(width);
   const etsc::Dataset data = etsc::testing::MakeToyDataset(25, 40);
-  etsc::EctsClassifier ects{etsc::EctsOptions{}};
+  etsc::RegisterBuiltinClassifiers();
+  auto ects = etsc::ClassifierRegistry::Global().Create("ects");
+  ETSC_CHECK(ects.ok());
   etsc::EvaluationOptions options;
   options.num_folds = 8;
   const etsc::EvaluationResult result =
-      etsc::CrossValidate(data, ects, options);
+      etsc::CrossValidate(data, **ects, options);
   etsc::SetMaxParallelism(0);
   return result.wall_seconds;
 }

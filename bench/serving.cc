@@ -14,8 +14,9 @@
 // sessions shed at the soft watermark, refusals counted).
 //
 // Knobs: ETSC_BENCH_SERVING_OUT (default BENCH_serving.json; empty skips),
-// ETSC_BENCH_SERVING_SESSIONS (default 2000), ETSC_BENCH_SERVING_DATASET
-// (default PowerCons), ETSC_BENCH_SERVING_ALGO (default ects).
+// ETSC_BENCH_SERVING_SESSIONS (default 2000; junk warns and keeps it),
+// ETSC_BENCH_SERVING_DATASET (default PowerCons), ETSC_BENCH_SERVING_ALGO
+// (default ects; any registry name or '<base>+<trigger>' spec).
 
 #include <cstdio>
 #include <cstdlib>
@@ -26,6 +27,7 @@
 
 #include "algos/registrations.h"
 #include "core/counters.h"
+#include "core/env.h"
 #include "core/evaluation.h"
 #include "core/parallel.h"
 #include "core/registry.h"
@@ -208,23 +210,14 @@ ShedNumbers RunShedPressure(
   return numbers;
 }
 
-size_t EnvCount(const char* name, size_t fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  const unsigned long parsed = std::strtoul(raw, nullptr, 10);
-  return parsed > 0 ? static_cast<size_t>(parsed) : fallback;
-}
-
-std::string EnvString(const char* name, const char* fallback) {
-  const char* raw = std::getenv(name);
-  return (raw == nullptr || *raw == '\0') ? fallback : raw;
-}
-
 int WriteServingBench(const char* path) {
   const std::string dataset_name =
-      EnvString("ETSC_BENCH_SERVING_DATASET", "PowerCons");
-  const std::string algo = EnvString("ETSC_BENCH_SERVING_ALGO", "ects");
-  const size_t num_sessions = EnvCount("ETSC_BENCH_SERVING_SESSIONS", 2000);
+      etsc::env::StringOr("ETSC_BENCH_SERVING_DATASET", "PowerCons");
+  // A registry name or any '<base>+<trigger>' spec.
+  const std::string algo =
+      etsc::env::StringOr("ETSC_BENCH_SERVING_ALGO", "ects");
+  const size_t num_sessions = static_cast<size_t>(etsc::env::NumberOr(
+      "bench", "ETSC_BENCH_SERVING_SESSIONS", 2000.0, 1.0, 1e9));
 
   etsc::RepositoryOptions repo;
   auto benchmark = etsc::MakeBenchmarkDataset(dataset_name, repo);

@@ -11,14 +11,19 @@
 #include "algos/strut.h"
 #include "algos/teaser.h"
 #include "bench/bench_common.h"
+#include "core/trigger.h"
 
 int main() {
   std::printf("== Table 4: parameter values of ETSC algorithms ==\n");
 
-  etsc::EcecOptions ecec;
-  std::printf("ECEC       N = %zu, a = %.1f\n", ecec.num_prefixes, ecec.alpha);
+  // Prefix counts are the trigger's default checkpoint grid, the rest its
+  // options.
+  etsc::EcecTriggerOptions ecec;
+  std::printf("ECEC       N = %zu, a = %.1f\n",
+              etsc::EcecRatioTrigger().DefaultComposedOptions().num_checkpoints,
+              ecec.alpha);
 
-  etsc::EconomyKOptions eco;
+  etsc::EcoCostTriggerOptions eco;
   std::printf("ECONOMY-K  k = {");
   for (size_t i = 0; i < eco.cluster_grid.size(); ++i) {
     std::printf("%s%zu", i ? ", " : "", eco.cluster_grid[i]);
@@ -32,11 +37,13 @@ int main() {
   std::printf("EDSC       CHE, k = %.0f, minLen = %zu, maxLen = L*%.1f\n",
               edsc.chebyshev_k, edsc.min_length, edsc.max_length_fraction);
 
-  etsc::TeaserOptions teaser;
+  etsc::TeaserTriggerOptions teaser;
+  const etsc::ComposedOptions teaser_grid =
+      etsc::TeaserGateTrigger().DefaultComposedOptions();
   std::printf("TEASER     S: %zu for UCR, 10 for Biological/Maritime; "
               "v grid 1..%zu; z-norm %s\n",
-              teaser.num_prefixes, teaser.max_consecutive,
-              teaser.z_normalize ? "on" : "off (paper variant)");
+              teaser_grid.num_checkpoints, teaser.max_consecutive,
+              teaser_grid.z_normalize ? "on" : "off (paper variant)");
 
   etsc::StrutOptions strut;
   std::printf("S-MLSTM    truncation grid {");

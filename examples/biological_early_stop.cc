@@ -9,12 +9,15 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 
 #include "algos/ecec.h"
+#include "core/composed.h"
 #include "core/dataset.h"
 #include "core/metrics.h"
 #include "core/voting.h"
 #include "data/biological_sim.h"
+#include "tsc/weasel.h"
 
 int main(int argc, char** argv) {
   etsc::BiologicalSimOptions sim_options;
@@ -33,10 +36,16 @@ int main(int argc, char** argv) {
 
   // ECEC is univariate: the framework's voting wrapper trains one instance per
   // cell-count channel (Alive/Necrotic/Apoptotic).
-  etsc::EcecOptions options;
-  options.num_prefixes = 12;
-  auto model = etsc::WrapForDataset(std::make_unique<etsc::EcecClassifier>(options),
-                                    train);
+  // WEASEL + ECEC's confidence-ratio trigger over 12 prefixes (the registered
+  // "ecec" alias uses Table 4's 20).
+  auto trigger = std::make_unique<etsc::EcecRatioTrigger>();
+  etsc::ComposedOptions options = trigger->DefaultComposedOptions();
+  options.num_checkpoints = 12;
+  auto model = etsc::WrapForDataset(
+      std::make_unique<etsc::ComposedEarlyClassifier>(
+          "ECEC", std::make_unique<etsc::WeaselClassifier>(),
+          std::move(trigger), options),
+      train);
   if (etsc::Status status = model->Fit(train); !status.ok()) {
     std::fprintf(stderr, "training failed: %s\n", status.ToString().c_str());
     return 1;

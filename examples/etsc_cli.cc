@@ -22,8 +22,8 @@
 //   etsc_cli --report-diff A.json B.json [--ignore-algos A,B]
 //            [--map-algo OLD=NEW]           (compare reports modulo timings;
 //                                             --map-algo renames an algorithm
-//                                             before comparing, e.g. a legacy
-//                                             monolith vs its composed twin)
+//                                             before comparing, e.g. a paper
+//                                             name vs its composed spec)
 //   etsc_cli --serve --algo ects --dataset PowerCons [--sessions N]
 //            [--dispatch-every K] [--serve-report OUT.json]
 //                                             (multi-session serving engine
@@ -61,7 +61,6 @@
 #include "algos/registrations.h"
 #include "bench/bench_common.h"
 #include "core/arff.h"
-#include "core/composed.h"
 #include "core/counters.h"
 #include "core/csv.h"
 #include "core/evaluation.h"
@@ -70,6 +69,7 @@
 #include "core/model_cache.h"
 #include "core/registry.h"
 #include "core/serving.h"
+#include "core/trigger.h"
 #include "data/repository.h"
 
 namespace {
@@ -93,7 +93,7 @@ struct CliArgs {
   std::vector<std::string> diff_reports; // the two --report-diff operands
   std::vector<std::string> ignore_algos; // --report-diff: drop these cells
   // --report-diff: rename algorithm OLD to NEW on both sides before the
-  // comparison (legacy monolith vs composed '<base>+<trigger>' twin).
+  // comparison (paper name vs its composed '<base>+<trigger>' spec).
   std::vector<std::pair<std::string, std::string>> map_algos;
   int max_retries = -1;                  // --campaign override; -1 = env/default
   int quarantine_after = -1;             // --campaign override; -1 = env/default
@@ -130,7 +130,7 @@ void PrintUsage() {
       "       etsc_cli --merge-shards OUT IN1 IN2 ... [--follow]\n"
       "       etsc_cli --report-diff A.json B.json [--ignore-algos A,B]\n"
       "                [--map-algo OLD=NEW]  (rename an algorithm before the\n"
-      "                 diff: legacy monolith vs its composed twin)\n"
+      "                 diff: a paper name vs its composed spec)\n"
       "       etsc_cli --serve --algo NAME --dataset BENCH [--sessions N]\n"
       "                [--dispatch-every K] [--serve-report OUT.json]\n"
       "                [--wal PATH [--recover]]\n"
@@ -733,10 +733,10 @@ void StripVolatile(etsc::json::Value* report,
 }
 
 /// Renames algorithms (config list + cells) before the comparison. The use
-/// case is the bit-identity contract between a legacy monolith and its
-/// composed '<base>+<trigger>' twin: the campaigns agree on every score but
+/// case is the bit-identity contract between a paper algorithm and its
+/// composed '<base>+<trigger>' spec: the campaigns agree on every score but
 /// disagree on the algorithm's name, so --map-algo ECTS=1nn+ects-mpl maps the
-/// legacy report onto the composed one's naming. Applied to both sides (a
+/// paper-named report onto the spec's naming. Applied to both sides (a
 /// no-op on the side already using NEW).
 void MapAlgos(etsc::json::Value* report,
               const std::vector<std::pair<std::string, std::string>>& renames) {
@@ -815,19 +815,6 @@ int ReportDiff(const std::string& path_a, const std::string& path_b,
   return 3;
 }
 
-/// Resolves --algo: a registered algorithm name, or a composed
-/// '<base>+<trigger>' spec built from the base-classifier and trigger
-/// registries.
-etsc::Result<std::unique_ptr<etsc::EarlyClassifier>> CreateModel(
-    const std::string& algo) {
-  if (algo.find('+') != std::string::npos) {
-    auto composed = etsc::MakeComposedFromSpec(algo);
-    if (!composed.ok()) return composed.status();
-    return std::unique_ptr<etsc::EarlyClassifier>(std::move(*composed));
-  }
-  return etsc::ClassifierRegistry::Global().Create(algo);
-}
-
 /// Loads the dataset selected by --csv/--arff/--dataset into `out`.
 /// Returns 0, or the exit code to fail with.
 int LoadDatasetFromArgs(const CliArgs& args, etsc::Dataset* out) {
@@ -879,7 +866,7 @@ int RunServe(const CliArgs& args) {
               dataset.name().c_str(), dataset.size(), dataset.NumVariables(),
               dataset.MaxLength());
 
-  auto created = CreateModel(args.algo);
+  auto created = etsc::ClassifierRegistry::Global().Create(args.algo);
   if (!created.ok()) {
     std::fprintf(stderr, "%s\n", created.status().ToString().c_str());
     return 1;
@@ -1138,9 +1125,14 @@ int main(int argc, char** argv) {
   }
 
   if (args.list) {
+    // One namespace: plain algorithms, and legacy names shown as the
+    // '<base>+<trigger>' spec they alias.
+    const auto& algorithms = etsc::ClassifierRegistry::Global();
     std::printf("algorithms:");
-    for (const auto& name : etsc::ClassifierRegistry::Global().Names()) {
-      std::printf(" %s", name.c_str());
+    for (const auto& name : algorithms.Names()) {
+      const std::string spec = algorithms.SpecOf(name);
+      std::printf(" %s%s%s", name.c_str(), spec.empty() ? "" : "=",
+                  spec.c_str());
     }
     std::printf("\ntriggers:");
     for (const auto& name : etsc::TriggerRegistry::Global().Names()) {
@@ -1166,7 +1158,7 @@ int main(int argc, char** argv) {
     PrintUsage();
     return 1;
   }
-  auto model = CreateModel(args.algo);
+  auto model = etsc::ClassifierRegistry::Global().Create(args.algo);
   if (!model.ok()) {
     std::fprintf(stderr, "%s\n", model.status().ToString().c_str());
     return 1;

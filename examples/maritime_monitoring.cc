@@ -8,12 +8,15 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 
-#include "algos/strut.h"
+#include "algos/registrations.h"
 #include "core/metrics.h"
+#include "core/registry.h"
 #include "data/maritime_sim.h"
 
 int main(int argc, char** argv) {
+  etsc::RegisterBuiltinClassifiers();
   etsc::MaritimeSimOptions sim_options;
   sim_options.num_windows = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 1500;
   const etsc::Dataset dataset = etsc::MakeMaritimeDataset(sim_options);
@@ -26,7 +29,12 @@ int main(int argc, char** argv) {
   etsc::Dataset train = dataset.Subset(split.train);
   etsc::Dataset test = dataset.Subset(split.test);
 
-  auto model = etsc::MakeStrutMiniRocket();
+  auto created = etsc::ClassifierRegistry::Global().Create("s-mini");
+  if (!created.ok()) {
+    std::fprintf(stderr, "%s\n", created.status().ToString().c_str());
+    return 1;
+  }
+  std::unique_ptr<etsc::EarlyClassifier> model = std::move(*created);
   if (etsc::Status status = model->Fit(train); !status.ok()) {
     std::fprintf(stderr, "training failed: %s\n", status.ToString().c_str());
     return 1;

@@ -12,8 +12,10 @@
 # from its session WAL with a bit-identical decision set, and a torn WAL
 # tail must be skipped via Status accounting, never a crash), a composition
 # gate (a 3x3 classifier-x-trigger cross-product campaign sharded and merged
-# with alpha-weighted cost scores in the report, plus legacy-vs-composed twin
-# bit-identity over --report-diff, serial and ETSC_THREADS=8), then sanitizer
+# with alpha-weighted cost scores in the report, plus paper-name-vs-spec twin
+# bit-identity over --report-diff, serial and ETSC_THREADS=8), a perf-ledger
+# gate (perfbench builds against this tree and its campaign-cold golden scores
+# still match), then sanitizer
 # passes — ASan and
 # UBSan over the suites that parse attacker-shaped bytes (model streams,
 # journals, reports, dataset files), and an oversubscribed ThreadSanitizer
@@ -226,8 +228,8 @@ echo "check.sh: serving chaos drill — crash recovered from WAL, torn tail skip
 # Composition gate: the classifier/trigger cross-product (DESIGN.md sec 15).
 # A 3x3 grid (9 composed '<base>+<trigger>' configs) runs as a sharded
 # campaign and merges to one report carrying the alpha-weighted cost score
-# per cell; then the legacy-monolith-vs-composed-twin bit-identity contract
-# is enforced over --report-diff (--map-algo renames the legacy name onto the
+# per cell; then the paper-name-vs-composed-spec bit-identity contract
+# is enforced over --report-diff (--map-algo renames the paper name onto the
 # composed spec), with the composed campaign run both serial and at
 # ETSC_THREADS=8.
 COMPOSE_DIR="$(mktemp -d)"
@@ -249,7 +251,7 @@ trap 'rm -rf "$SHARD_DIR" "$SIMD_DIR" "$FAULT_DIR" "$FABRIC_DIR" "$SERVE_DIR" "$
   test "$(grep -o '"algorithm":"[a-z0-9-]*+[a-z0-9-]*"' \
     "$COMPOSE_DIR/merged.csv.report.json" | sort -u | wc -l)" -ge 9
 
-  # Legacy ECTS vs its composed twin 1nn+ects-mpl: every score bit-identical,
+  # ECTS (an alias) vs its composed spec 1nn+ects-mpl: every score bit-identical,
   # whether the composed run is serial or oversubscribed.
   export ETSC_BENCH_DATASETS=DodgerLoopGame,PowerCons
   ETSC_BENCH_ALGOS=ECTS ETSC_BENCH_CACHE="$COMPOSE_DIR/legacy.csv" \
@@ -266,6 +268,19 @@ trap 'rm -rf "$SHARD_DIR" "$SIMD_DIR" "$FAULT_DIR" "$FABRIC_DIR" "$SERVE_DIR" "$
     --map-algo ECTS=1nn+ects-mpl
 )
 echo "check.sh: composition gate — 3x3 grid merged with cost scores, legacy == composed twin"
+
+# Perf-ledger gate: perfbench/ links against the library's public surface
+# (MakeComposedFromSpec, RegisterBuiltinClassifiers, bench::Campaign) from its
+# own CMake project, so build it from this checkout and run one short
+# campaign-cold pass. The run re-checks ECTS/EDSC/S-MINI/S-WEASEL scores
+# against perfbench/golden_campaign.csv; a mismatch, a failed cell or a failed
+# operation shows up as a non-zero "failed" count in its last stdout line.
+PERF_DIR="$(mktemp -d)"
+trap 'rm -rf "$SHARD_DIR" "$SIMD_DIR" "$FAULT_DIR" "$FABRIC_DIR" "$SERVE_DIR" "$COMPOSE_DIR" "$PERF_DIR"' EXIT
+python3 perfbench/run.py --workload campaign-cold --seed 1 --seconds 1 \
+  --trace 0 > "$PERF_DIR/result.txt"
+tail -n 1 "$PERF_DIR/result.txt" | grep -q '"failed":0'
+echo "check.sh: perfbench builds against this tree and campaign-cold matches its golden scores"
 
 # ASan: the persistence layer and the loaders parse attacker-shaped bytes
 # (truncated, corrupted, garbage model streams / journals / reports /

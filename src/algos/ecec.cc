@@ -240,44 +240,4 @@ Status EcecRatioTrigger::LoadState(Deserializer& in) {
   return in.Leave();
 }
 
-namespace {
-
-ComposedParts EcecParts(const EcecOptions& options) {
-  ComposedParts parts;
-  parts.name = "ECEC";
-  parts.base = std::make_unique<WeaselClassifier>(options.weasel);
-  EcecTriggerOptions trigger_options;
-  trigger_options.alpha = options.alpha;
-  trigger_options.cv_folds = options.cv_folds;
-  trigger_options.max_threshold_candidates = options.max_threshold_candidates;
-  trigger_options.seed = options.seed;
-  parts.trigger = std::make_unique<EcecRatioTrigger>(trigger_options);
-  parts.options.num_checkpoints = options.num_prefixes;
-  parts.options.grid = CheckpointGrid::kCeilMinTwo;
-  return parts;
-}
-
-}  // namespace
-
-EcecClassifier::EcecClassifier(EcecOptions options)
-    : ComposedEarlyClassifier(EcecParts(options)), options_(std::move(options)) {}
-
-std::string EcecClassifier::config_fingerprint() const {
-  const auto& o = options_;
-  return "ECEC(n=" + std::to_string(o.num_prefixes) +
-         ",a=" + FingerprintDouble(o.alpha) +
-         ",cv=" + std::to_string(o.cv_folds) +
-         ",thr=" + std::to_string(o.max_threshold_candidates) +
-         ",seed=" + std::to_string(o.seed) + "," +
-         WeaselOptionsFingerprint(o.weasel) + ")";
-}
-
-std::unique_ptr<EarlyClassifier> EcecClassifier::CloneUntrained() const {
-  return std::make_unique<EcecClassifier>(options_);
-}
-
-double EcecClassifier::threshold() const {
-  return static_cast<const EcecRatioTrigger&>(trigger()).threshold();
-}
-
 }  // namespace etsc

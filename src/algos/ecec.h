@@ -7,9 +7,7 @@
 #include <vector>
 
 #include "core/classifier.h"
-#include "core/composed.h"
 #include "core/trigger.h"
-#include "tsc/weasel.h"
 
 namespace etsc {
 
@@ -20,25 +18,19 @@ namespace etsc {
 /// confidence  c(ŷ, t) = 1 − Π_{i ≤ t, ŷ_i = ŷ} (1 − r_i(ŷ_i)),  and learns
 /// the confidence threshold θ minimising CF(θ) = α(1−acc) + (1−α)·earliness
 /// over candidate thresholds taken between adjacent sorted CV confidences.
-struct EcecOptions {
-  size_t num_prefixes = 20;  // Table 4: N = 20
-  double alpha = 0.8;        // Table 4: a = 0.8
-  size_t cv_folds = 3;       // reliability-estimation folds
-  /// Cap on distinct threshold candidates (adjacent-mean rule produces one
-  /// per CV confidence value; the paper's datasets keep this tractable).
-  size_t max_threshold_candidates = 200;
-  WeaselOptions weasel;
-  uint64_t seed = 17;
-};
-
+/// The prefix count N (Table 4: 20) is the composition's checkpoint count.
+///
 /// The confidence-ratio rule as a standalone trigger, usable with any base
 /// classifier: cross-validates clones of the base per checkpoint to estimate
 /// reliability tables, calibrates the fused-confidence threshold by
 /// minimising CF(θ), and halts once the fused confidence of the bank's
-/// prediction clears it. Registered as trigger "ecec-ratio".
+/// prediction clears it. Registered as trigger "ecec-ratio"; the paper's
+/// ECEC is the alias "ecec" = "weasel+ecec-ratio".
 struct EcecTriggerOptions {
-  double alpha = 0.8;
-  size_t cv_folds = 3;
+  double alpha = 0.8;    // Table 4: a = 0.8
+  size_t cv_folds = 3;   // reliability-estimation folds
+  /// Cap on distinct threshold candidates (adjacent-mean rule produces one
+  /// per CV confidence value; the paper's datasets keep this tractable).
   size_t max_threshold_candidates = 200;
   uint64_t seed = 17;
 };
@@ -73,22 +65,6 @@ class EcecRatioTrigger : public Trigger {
   EcecTriggerOptions options_;
   std::vector<std::map<int, double>> reliability_;  // [checkpoint][label] -> r
   double threshold_ = 0.5;
-};
-
-/// Legacy monolithic entry point, now a thin composition of WEASEL with the
-/// "ecec-ratio" trigger (bit-identical to the pre-seam implementation).
-class EcecClassifier : public ComposedEarlyClassifier {
- public:
-  explicit EcecClassifier(EcecOptions options = {});
-
-  std::string config_fingerprint() const override;
-  std::unique_ptr<EarlyClassifier> CloneUntrained() const override;
-
-  double threshold() const;
-  const std::vector<size_t>& prefix_lengths() const { return checkpoints(); }
-
- private:
-  EcecOptions options_;
 };
 
 }  // namespace etsc

@@ -399,54 +399,4 @@ Status EcoCostTrigger::LoadState(Deserializer& in) {
   return in.Leave();
 }
 
-namespace {
-
-ComposedParts EconomyKParts(const EconomyKOptions& options) {
-  ComposedParts parts;
-  parts.name = "ECO-K";
-  EcoCostTriggerOptions trigger_options;
-  trigger_options.cluster_grid = options.cluster_grid;
-  trigger_options.time_cost = options.time_cost;
-  trigger_options.lambda = options.lambda;
-  trigger_options.relative_delay_weight = options.relative_delay_weight;
-  trigger_options.cv_folds = options.cv_folds;
-  trigger_options.gbdt = options.gbdt;
-  trigger_options.seed = options.seed;
-  parts.trigger = std::make_unique<EcoCostTrigger>(std::move(trigger_options));
-  parts.options.num_checkpoints = options.max_checkpoints;
-  parts.options.grid = CheckpointGrid::kFloorMinOne;
-  return parts;
-}
-
-}  // namespace
-
-EconomyKClassifier::EconomyKClassifier(EconomyKOptions options)
-    : ComposedEarlyClassifier(EconomyKParts(options)),
-      options_(std::move(options)) {}
-
-std::string EconomyKClassifier::config_fingerprint() const {
-  const auto& o = options_;
-  std::string grid;
-  for (size_t k : o.cluster_grid) grid += std::to_string(k) + "/";
-  return "ECO-K(grid=" + grid + ",tc=" + FingerprintDouble(o.time_cost) +
-         ",lambda=" + FingerprintDouble(o.lambda) +
-         ",rdw=" + FingerprintDouble(o.relative_delay_weight) +
-         ",cp=" + std::to_string(o.max_checkpoints) +
-         ",cv=" + std::to_string(o.cv_folds) +
-         ",gbdt=" + std::to_string(o.gbdt.num_rounds) + "/" +
-         FingerprintDouble(o.gbdt.learning_rate) + "/" +
-         FingerprintDouble(o.gbdt.subsample) + "/" +
-         std::to_string(o.gbdt.tree.max_depth) + "/" +
-         std::to_string(o.gbdt.tree.min_samples_leaf) +
-         ",seed=" + std::to_string(o.seed) + ")";
-}
-
-std::unique_ptr<EarlyClassifier> EconomyKClassifier::CloneUntrained() const {
-  return std::make_unique<EconomyKClassifier>(options_);
-}
-
-size_t EconomyKClassifier::chosen_clusters() const {
-  return static_cast<const EcoCostTrigger&>(trigger()).chosen_clusters();
-}
-
 }  // namespace etsc

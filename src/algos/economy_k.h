@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "core/classifier.h"
-#include "core/composed.h"
 #include "core/trigger.h"
 #include "ml/gbdt.h"
 #include "ml/kmeans.h"
@@ -21,8 +20,18 @@ namespace etsc {
 ///   f_τ(x_{1:t}) = Σ_k P(g_k|x) Σ_y P(y|g_k) Σ_ŷ P_{t+τ}(ŷ|y,g_k)·C(ŷ|y)
 ///                + time_cost·(t+τ)
 /// is evaluated over future horizons τ; the prediction is emitted when the
-/// minimising τ is 0 (non-myopic stopping rule).
-struct EconomyKOptions {
+/// minimising τ is 0 (non-myopic stopping rule). The number of time-points
+/// with a trained model (evenly spaced, default 20) is the composition's
+/// checkpoint count.
+///
+/// The expected-cost minimiser as a standalone, self-contained trigger: it
+/// clusters full-length training series, trains its own GBDT prefix models
+/// per checkpoint, and halts when the expected-cost argmin over future
+/// horizons is "now". The halting label comes from the trigger's own
+/// per-checkpoint model (TriggerDecision::label), so no external base
+/// classifier is consulted. Registered as trigger "eco-cost"; the paper's
+/// ECONOMY-K is the alias "economy-k" = "gbdt+eco-cost".
+struct EcoCostTriggerOptions {
   /// Cluster counts tried during Fit; the value with the lowest training cost
   /// is kept (the paper grid-searches {1, 2, 3}).
   std::vector<size_t> cluster_grid = {1, 2, 3};
@@ -38,28 +47,9 @@ struct EconomyKOptions {
   /// "always stop at the first checkpoint"; normalising delay by L keeps the
   /// Table-4 parameters meaningful at every series length.
   double relative_delay_weight = 0.5;
-  /// Number of time-points at which base classifiers are trained (evenly
-  /// spaced; every point when the series is short).
-  size_t max_checkpoints = 20;
   /// Folds used to estimate P(ŷ|y, cluster) out-of-sample (in-sample
   /// confusion of boosted trees is near-perfect and would make the cost
   /// function stop at the first checkpoint). 0 falls back to in-sample.
-  size_t cv_folds = 3;
-  GbdtOptions gbdt;
-  uint64_t seed = 5;
-};
-
-/// The non-myopic expected-cost minimiser as a standalone, self-contained
-/// trigger: it clusters full-length training series, trains its own GBDT
-/// prefix models per checkpoint, and halts when the expected-cost argmin over
-/// future horizons is "now". The halting label comes from the trigger's own
-/// per-checkpoint model (TriggerDecision::label), so no external base
-/// classifier is consulted. Registered as trigger "eco-cost".
-struct EcoCostTriggerOptions {
-  std::vector<size_t> cluster_grid = {1, 2, 3};
-  double time_cost = 0.001;
-  double lambda = 100.0;
-  double relative_delay_weight = 0.5;
   size_t cv_folds = 3;
   GbdtOptions gbdt;
   uint64_t seed = 5;
@@ -109,22 +99,6 @@ class EcoCostTrigger : public Trigger {
   std::vector<std::vector<std::vector<double>>> prob_correct_;
   // prior_[k][yi] = P(y = yi | cluster k).
   std::vector<std::vector<double>> prior_;
-};
-
-/// Legacy monolithic entry point, now a thin composition around the
-/// self-contained "eco-cost" trigger (bit-identical to the pre-seam
-/// implementation).
-class EconomyKClassifier : public ComposedEarlyClassifier {
- public:
-  explicit EconomyKClassifier(EconomyKOptions options = {});
-
-  std::string config_fingerprint() const override;
-  std::unique_ptr<EarlyClassifier> CloneUntrained() const override;
-
-  size_t chosen_clusters() const;
-
- private:
-  EconomyKOptions options_;
 };
 
 }  // namespace etsc

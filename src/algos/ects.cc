@@ -293,32 +293,4 @@ Status EctsMplTrigger::LoadState(Deserializer& in) {
   return in.Leave();
 }
 
-namespace {
-
-ComposedParts EctsParts(const EctsOptions& options) {
-  ComposedParts parts;
-  parts.name = "ECTS";
-  parts.trigger = std::make_unique<EctsMplTrigger>(options);
-  parts.options.grid = CheckpointGrid::kEveryPoint;
-  return parts;
-}
-
-}  // namespace
-
-EctsClassifier::EctsClassifier(EctsOptions options)
-    : ComposedEarlyClassifier(EctsParts(options)), options_(options) {}
-
-std::string EctsClassifier::config_fingerprint() const {
-  return "ECTS(support=" + std::to_string(options_.support) + ",merge=" +
-         FingerprintDouble(options_.max_merge_distance_factor) + ")";
-}
-
-std::unique_ptr<EarlyClassifier> EctsClassifier::CloneUntrained() const {
-  return std::make_unique<EctsClassifier>(options_);
-}
-
-const std::vector<size_t>& EctsClassifier::mpls() const {
-  return static_cast<const EctsMplTrigger&>(trigger()).mpls();
-}
-
 }  // namespace etsc

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "core/classifier.h"
-#include "core/composed.h"
 #include "core/trigger.h"
 
 namespace etsc {
@@ -18,7 +17,8 @@ namespace etsc {
 /// and lowers MPLs further through agglomerative (single-linkage) clustering
 /// whose label-pure clusters must be 1-NN- and RNN-consistent. At test time a
 /// growing prefix is matched to its training 1-NN and a label is emitted once
-/// the observed length reaches the neighbor's MPL.
+/// the observed length reaches the neighbor's MPL. Registered as the alias
+/// "ects" = "1nn+ects-mpl".
 struct EctsOptions {
   /// Minimum |RNN| support a series needs for its RNN-based MPL (paper
   /// Table 4 uses 0).
@@ -65,22 +65,6 @@ class EctsMplTrigger : public Trigger {
   std::vector<int> train_labels_;
   size_t length_ = 0;
   std::vector<size_t> mpls_;
-};
-
-/// Legacy monolithic entry point, now a thin composition around the
-/// "ects-mpl" trigger (bit-identical to the pre-seam implementation).
-class EctsClassifier : public ComposedEarlyClassifier {
- public:
-  explicit EctsClassifier(EctsOptions options = {});
-
-  std::string config_fingerprint() const override;
-  std::unique_ptr<EarlyClassifier> CloneUntrained() const override;
-
-  /// Learned per-training-series MPLs (after clustering); exposed for tests.
-  const std::vector<size_t>& mpls() const;
-
- private:
-  EctsOptions options_;
 };
 
 }  // namespace etsc

@@ -90,46 +90,4 @@ Status ProbTrigger::LoadState(Deserializer& in) {
   return in.Leave();
 }
 
-namespace {
-
-ComposedParts ProbParts(std::unique_ptr<FullClassifier> base,
-                        const ProbThresholdOptions& options) {
-  ETSC_CHECK(base != nullptr);
-  ComposedParts parts;
-  parts.name = "P>=" + std::to_string(options.threshold).substr(0, 4) + "-" +
-               base->name();
-  ProbTriggerOptions trigger_options;
-  trigger_options.threshold = options.threshold;
-  trigger_options.consecutive = options.consecutive;
-  parts.trigger = std::make_unique<ProbTrigger>(trigger_options);
-  parts.options.num_checkpoints = options.num_prefixes;
-  parts.options.grid = CheckpointGrid::kFloorMinTwo;
-  parts.base = std::move(base);
-  return parts;
-}
-
-}  // namespace
-
-ProbThresholdClassifier::ProbThresholdClassifier(
-    std::unique_ptr<FullClassifier> base, ProbThresholdOptions options)
-    : ComposedEarlyClassifier(ProbParts(std::move(base), options)),
-      options_(options) {}
-
-std::string ProbThresholdClassifier::name() const {
-  return "P>=" + std::to_string(options_.threshold).substr(0, 4) + "-" +
-         base_classifier()->name();
-}
-
-std::string ProbThresholdClassifier::config_fingerprint() const {
-  return "ProbThreshold(n=" + std::to_string(options_.num_prefixes) +
-         ",thr=" + FingerprintDouble(options_.threshold) +
-         ",consec=" + std::to_string(options_.consecutive) + ",base=" +
-         base_classifier()->config_fingerprint() + ")";
-}
-
-std::unique_ptr<EarlyClassifier> ProbThresholdClassifier::CloneUntrained() const {
-  return std::make_unique<ProbThresholdClassifier>(
-      base_classifier()->CloneUntrained(), options_);
-}
-
 }  // namespace etsc

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "core/classifier.h"
-#include "core/composed.h"
 #include "core/trigger.h"
 
 namespace etsc {
@@ -16,18 +15,14 @@ namespace etsc {
 /// SVM, or an ECEC without reliability fusion). Trains one clone of a
 /// full-TSC classifier per prefix of a fixed grid and emits the prediction at
 /// the first prefix whose top class probability reaches `threshold` for
-/// `consecutive` prefixes in a row. Registered as "prob-threshold"; useful as
-/// a sanity baseline when adding new algorithms to the framework.
-struct ProbThresholdOptions {
-  size_t num_prefixes = 10;
-  double threshold = 0.9;
-  size_t consecutive = 1;
-};
-
+/// `consecutive` prefixes in a row; useful as a sanity baseline when adding
+/// new algorithms to the framework.
+///
 /// The stopping-rule half of the baseline, usable with any base classifier:
 /// halt at the first checkpoint whose top posterior reaches `threshold` for
 /// `consecutive` checkpoints in a row (same label throughout the streak).
-/// Stateless after construction; registered as trigger "prob".
+/// Stateless after construction; registered as trigger "prob" (default grid:
+/// 10 prefixes). The alias "prob-threshold" = "minirocket-logistic+prob".
 struct ProbTriggerOptions {
   double threshold = 0.9;
   size_t consecutive = 1;
@@ -55,26 +50,6 @@ class ProbTrigger : public Trigger {
 
  private:
   ProbTriggerOptions options_;
-};
-
-/// Legacy monolithic entry point, now a thin composition of the supplied base
-/// classifier with the "prob" trigger. Campaign results are bit-identical to
-/// the pre-seam implementation (same prefix grid, same argmax/streak rules,
-/// same fallbacks).
-class ProbThresholdClassifier : public ComposedEarlyClassifier {
- public:
-  /// `base` supplies CloneUntrained() copies, one per prefix.
-  ProbThresholdClassifier(std::unique_ptr<FullClassifier> base,
-                          ProbThresholdOptions options = {});
-
-  std::string name() const override;
-  std::string config_fingerprint() const override;
-  std::unique_ptr<EarlyClassifier> CloneUntrained() const override;
-
-  const std::vector<size_t>& prefix_lengths() const { return checkpoints(); }
-
- private:
-  ProbThresholdOptions options_;
 };
 
 }  // namespace etsc

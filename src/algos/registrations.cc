@@ -10,6 +10,7 @@
 #include "algos/prob_threshold.h"
 #include "algos/strut.h"
 #include "algos/teaser.h"
+#include "core/composed.h"
 #include "core/registry.h"
 #include "core/trigger.h"
 #include "tsc/minirocket.h"
@@ -18,121 +19,92 @@
 
 namespace etsc {
 
+namespace {
+
+/// A legacy algorithm name: shorthand for its '<base>+<trigger>' spec, built
+/// with the trigger's default grid and reporting `display` as its name().
+struct Alias {
+  const char* name;
+  const char* display;
+  const char* spec;
+};
+
+constexpr Alias kAliases[] = {
+    {"ecec", "ECEC", "weasel+ecec-ratio"},
+    {"economy-k", "ECO-K", "gbdt+eco-cost"},
+    {"ects", "ECTS", "1nn+ects-mpl"},
+    {"prob-threshold", "P>=0.90-MiniROCKET", "minirocket-logistic+prob"},
+    {"s-mini", "S-MINI", "minirocket+strut-search"},
+    {"s-mlstm", "S-MLSTM", "mlstm+strut-grid"},
+    {"s-weasel", "S-WEASEL", "adaptive-weasel+strut-search"},
+    {"teaser", "TEASER", "weasel+teaser-gate"},
+};
+
+template <typename T>
+void Add(Registry<T>& registry, const char* name,
+         typename Registry<T>::Factory factory) {
+  ETSC_CHECK(registry.Register(name, std::move(factory)).ok());
+}
+
+}  // namespace
+
 void RegisterBuiltinClassifiers() {
   static const bool registered = [] {
-    auto& registry = ClassifierRegistry::Global();
-    ETSC_CHECK(registry
-                   .Register("ecec",
-                             [] { return std::make_unique<EcecClassifier>(); })
-                   .ok());
-    ETSC_CHECK(registry
-                   .Register("economy-k",
-                             [] { return std::make_unique<EconomyKClassifier>(); })
-                   .ok());
-    ETSC_CHECK(registry
-                   .Register("ects",
-                             [] { return std::make_unique<EctsClassifier>(); })
-                   .ok());
-    ETSC_CHECK(registry
-                   .Register("edsc",
-                             [] { return std::make_unique<EdscClassifier>(); })
-                   .ok());
-    ETSC_CHECK(registry
-                   .Register("teaser",
-                             [] { return std::make_unique<TeaserClassifier>(); })
-                   .ok());
-    ETSC_CHECK(registry
-                   .Register("s-weasel",
-                             [] { return MakeStrutWeasel(/*multivariate=*/false); })
-                   .ok());
-    ETSC_CHECK(
-        registry.Register("s-mini", [] { return MakeStrutMiniRocket(); }).ok());
-    ETSC_CHECK(
-        registry.Register("s-mlstm", [] { return MakeStrutMlstm(); }).ok());
-    ETSC_CHECK(registry
-                   .Register("prob-threshold",
-                             [] {
-                               // Logistic head: ridge margins are not
-                               // calibrated probabilities, so the threshold
-                               // rule needs the logistic path.
-                               MiniRocketOptions options;
-                               options.logistic_above_samples = 0;
-                               return std::make_unique<ProbThresholdClassifier>(
-                                   std::make_unique<MiniRocketClassifier>(
-                                       options));
-                             })
-                   .ok());
-
-    // Second namespace: standalone triggers, composable with any base
-    // classifier via ComposedEarlyClassifier / '<classifier>+<trigger>' specs.
+    // Stopping rules, composable with any base via '<base>+<trigger>'.
     auto& triggers = TriggerRegistry::Global();
-    ETSC_CHECK(triggers
-                   .Register("prob",
-                             [] { return std::make_unique<ProbTrigger>(); })
-                   .ok());
-    ETSC_CHECK(triggers
-                   .Register("ecec-ratio",
-                             [] { return std::make_unique<EcecRatioTrigger>(); })
-                   .ok());
-    ETSC_CHECK(triggers
-                   .Register("teaser-gate",
-                             [] { return std::make_unique<TeaserGateTrigger>(); })
-                   .ok());
-    ETSC_CHECK(triggers
-                   .Register("eco-cost",
-                             [] { return std::make_unique<EcoCostTrigger>(); })
-                   .ok());
-    ETSC_CHECK(triggers
-                   .Register("ects-mpl",
-                             [] { return std::make_unique<EctsMplTrigger>(); })
-                   .ok());
-    ETSC_CHECK(triggers
-                   .Register("strut-search",
-                             [] { return std::make_unique<StrutTrigger>(); })
-                   .ok());
+    Add(triggers, "prob", [] { return std::make_unique<ProbTrigger>(); });
+    Add(triggers, "ecec-ratio",
+        [] { return std::make_unique<EcecRatioTrigger>(); });
+    Add(triggers, "teaser-gate",
+        [] { return std::make_unique<TeaserGateTrigger>(); });
+    Add(triggers, "eco-cost", [] { return std::make_unique<EcoCostTrigger>(); });
+    Add(triggers, "ects-mpl", [] { return std::make_unique<EctsMplTrigger>(); });
+    Add(triggers, "strut-search",
+        [] { return std::make_unique<StrutTrigger>(); });
+    Add(triggers, "strut-grid", [] {
+      // S-MLSTM fixes the iteration count with the fraction grid (paper
+      // Sec. 6.1).
+      StrutOptions options;
+      options.search = StrutSearch::kGrid;
+      return std::make_unique<StrutTrigger>(options);
+    });
 
-    // Third namespace: probabilistic full-series classifiers usable as the
-    // base half of a composition.
+    // Probabilistic full-series classifiers usable as the base half.
     auto& bases = BaseClassifierRegistry::Global();
-    ETSC_CHECK(bases
-                   .Register("weasel",
-                             [] { return std::make_unique<WeaselClassifier>(); })
-                   .ok());
-    ETSC_CHECK(bases
-                   .Register("adaptive-weasel",
-                             [] { return std::make_unique<AdaptiveWeasel>(); })
-                   .ok());
-    ETSC_CHECK(bases
-                   .Register("minirocket",
-                             [] {
-                               return std::make_unique<MiniRocketClassifier>();
-                             })
-                   .ok());
-    ETSC_CHECK(bases
-                   .Register("minirocket-logistic",
-                             [] {
-                               MiniRocketOptions options;
-                               options.logistic_above_samples = 0;
-                               return std::make_unique<MiniRocketClassifier>(
-                                   options);
-                             })
-                   .ok());
-    ETSC_CHECK(bases
-                   .Register("mlstm",
-                             [] { return std::make_unique<MlstmClassifier>(); })
-                   .ok());
-    ETSC_CHECK(bases
-                   .Register("1nn",
-                             [] {
-                               return std::make_unique<NearestNeighborClassifier>();
-                             })
-                   .ok());
-    ETSC_CHECK(bases
-                   .Register("gbdt",
-                             [] {
-                               return std::make_unique<GbdtSeriesClassifier>();
-                             })
-                   .ok());
+    Add(bases, "weasel", [] { return std::make_unique<WeaselClassifier>(); });
+    Add(bases, "adaptive-weasel",
+        [] { return std::make_unique<AdaptiveWeasel>(); });
+    Add(bases, "minirocket",
+        [] { return std::make_unique<MiniRocketClassifier>(); });
+    Add(bases, "minirocket-logistic", [] {
+      // Logistic head: ridge margins are not calibrated probabilities, so
+      // posterior-reading triggers need the logistic path.
+      MiniRocketOptions options;
+      options.logistic_above_samples = 0;
+      return std::make_unique<MiniRocketClassifier>(options);
+    });
+    Add(bases, "mlstm", [] { return std::make_unique<MlstmClassifier>(); });
+    Add(bases, "1nn",
+        [] { return std::make_unique<NearestNeighborClassifier>(); });
+    Add(bases, "gbdt", [] { return std::make_unique<GbdtSeriesClassifier>(); });
+
+    // Early classifiers: EDSC (no classifier/trigger split) and the paper's
+    // algorithms as aliases of their composed twins.
+    auto& registry = ClassifierRegistry::Global();
+    Add(registry, "edsc", [] { return std::make_unique<EdscClassifier>(); });
+    for (const Alias& alias : kAliases) {
+      ETSC_CHECK(registry
+                     .Register(
+                         alias.name,
+                         [alias] {
+                           auto model =
+                               MakeComposedFromSpec(alias.spec, alias.display);
+                           ETSC_CHECK(model.ok());
+                           return std::move(*model);
+                         },
+                         alias.spec)
+                     .ok());
+    }
     return true;
   }();
   (void)registered;

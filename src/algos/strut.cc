@@ -4,11 +4,8 @@
 #include <cmath>
 #include <set>
 
-#include "algos/base_classifiers.h"
 #include "core/metrics.h"
 #include "core/rng.h"
-#include "tsc/minirocket.h"
-#include "tsc/mlstm.h"
 
 namespace etsc {
 
@@ -170,71 +167,6 @@ Status StrutTrigger::LoadState(Deserializer& in) {
     return Status::DataLoss("STRUT: zero truncation point");
   }
   return in.Leave();
-}
-
-namespace {
-
-ComposedParts StrutParts(std::unique_ptr<FullClassifier> base,
-                         const StrutOptions& options,
-                         std::string display_name) {
-  ETSC_CHECK(base != nullptr);
-  ComposedParts parts;
-  parts.name = display_name.empty() ? "S-" + base->name()
-                                    : std::move(display_name);
-  parts.trigger = std::make_unique<StrutTrigger>(options);
-  parts.options.grid = CheckpointGrid::kTriggerPlanned;
-  parts.base = std::move(base);
-  return parts;
-}
-
-}  // namespace
-
-StrutClassifier::StrutClassifier(std::unique_ptr<FullClassifier> base,
-                                 StrutOptions options, std::string display_name)
-    : ComposedEarlyClassifier(
-          StrutParts(std::move(base), options, std::move(display_name))),
-      options_(std::move(options)),
-      display_name_(name()) {}
-
-std::string StrutClassifier::config_fingerprint() const {
-  const auto& o = options_;
-  std::string fractions;
-  for (double f : o.fractions) fractions += FingerprintDouble(f) + "/";
-  return name() + "=STRUT(metric=" + std::to_string(static_cast<int>(o.metric)) +
-         ",search=" + std::to_string(static_cast<int>(o.search)) +
-         ",frac=" + fractions +
-         ",val=" + FingerprintDouble(o.validation_fraction) +
-         ",tol=" + FingerprintDouble(o.tolerance) +
-         ",seed=" + std::to_string(o.seed) + ",base=" +
-         base_classifier()->config_fingerprint() + ")";
-}
-
-std::unique_ptr<EarlyClassifier> StrutClassifier::CloneUntrained() const {
-  return std::make_unique<StrutClassifier>(base_classifier()->CloneUntrained(),
-                                           options_, display_name_);
-}
-
-size_t StrutClassifier::truncation_point() const {
-  return static_cast<const StrutTrigger&>(trigger()).truncation_point();
-}
-
-std::unique_ptr<EarlyClassifier> MakeStrutWeasel(bool multivariate,
-                                                 StrutOptions options) {
-  (void)multivariate;  // AdaptiveWeasel decides at Fit time.
-  return std::make_unique<StrutClassifier>(std::make_unique<AdaptiveWeasel>(),
-                                           options, "S-WEASEL");
-}
-
-std::unique_ptr<EarlyClassifier> MakeStrutMiniRocket(StrutOptions options) {
-  return std::make_unique<StrutClassifier>(
-      std::make_unique<MiniRocketClassifier>(), options, "S-MINI");
-}
-
-std::unique_ptr<EarlyClassifier> MakeStrutMlstm(StrutOptions options) {
-  // S-MLSTM fixes the iteration count with the fraction grid (paper Sec. 6.1).
-  options.search = StrutSearch::kGrid;
-  return std::make_unique<StrutClassifier>(std::make_unique<MlstmClassifier>(),
-                                           options, "S-MLSTM");
 }
 
 }  // namespace etsc

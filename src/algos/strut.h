@@ -1,13 +1,11 @@
 #ifndef ETSC_ALGOS_STRUT_H_
 #define ETSC_ALGOS_STRUT_H_
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "core/classifier.h"
-#include "core/composed.h"
 #include "core/trigger.h"
 
 namespace etsc {
@@ -50,7 +48,12 @@ struct StrutOptions {
 /// truncation-point search in PlanCheckpoints (fit/validation split, fraction
 /// grid, optional binary refinement) and plants the single winning prefix
 /// length t* as the checkpoint grid. Decisions always halt — the composed
-/// pipeline consumes exactly t* points. Registered as trigger "strut-search".
+/// pipeline consumes exactly t* points. Registered as trigger "strut-search"
+/// (binary refinement) and as "strut-grid" (search = kGrid, the fixed
+/// iteration count of S-MLSTM). The paper's presets are aliases: "s-weasel" =
+/// "adaptive-weasel+strut-search" (WEASEL or WEASEL+MUSE chosen by
+/// dimensionality at Fit), "s-mini" = "minirocket+strut-search" and
+/// "s-mlstm" = "mlstm+strut-grid".
 class StrutTrigger : public Trigger {
  public:
   explicit StrutTrigger(StrutOptions options = {});
@@ -81,33 +84,6 @@ class StrutTrigger : public Trigger {
   StrutOptions options_;
   size_t truncation_point_ = 0;
 };
-
-/// Legacy monolithic entry point, now a thin composition of the supplied base
-/// classifier with the "strut-search" trigger (bit-identical to the pre-seam
-/// implementation: same split, same search order, same final refit).
-class StrutClassifier : public ComposedEarlyClassifier {
- public:
-  /// `base` supplies CloneUntrained() copies per truncation iteration.
-  StrutClassifier(std::unique_ptr<FullClassifier> base, StrutOptions options = {},
-                  std::string display_name = "");
-
-  std::string config_fingerprint() const override;
-  std::unique_ptr<EarlyClassifier> CloneUntrained() const override;
-
-  size_t truncation_point() const;
-
- private:
-  StrutOptions options_;
-  std::string display_name_;
-};
-
-/// The paper's three STRUT presets: S-WEASEL (WEASEL / WEASEL+MUSE chosen by
-/// dimensionality at Fit), S-MINI (MiniROCKET) and S-MLSTM (MLSTM-FCN with the
-/// fixed fraction grid). `multivariate` selects MUSE inside S-WEASEL.
-std::unique_ptr<EarlyClassifier> MakeStrutWeasel(bool multivariate,
-                                                 StrutOptions options = {});
-std::unique_ptr<EarlyClassifier> MakeStrutMiniRocket(StrutOptions options = {});
-std::unique_ptr<EarlyClassifier> MakeStrutMlstm(StrutOptions options = {});
 
 }  // namespace etsc
 

@@ -282,47 +282,4 @@ Status TeaserGateTrigger::LoadState(Deserializer& in) {
   return in.Leave();
 }
 
-namespace {
-
-ComposedParts TeaserParts(const TeaserOptions& options) {
-  ComposedParts parts;
-  parts.name = "TEASER";
-  parts.base = std::make_unique<WeaselClassifier>(options.weasel);
-  TeaserTriggerOptions trigger_options;
-  trigger_options.max_consecutive = options.max_consecutive;
-  trigger_options.cv_folds = options.cv_folds;
-  trigger_options.ocsvm = options.ocsvm;
-  trigger_options.seed = options.seed;
-  parts.trigger = std::make_unique<TeaserGateTrigger>(trigger_options);
-  parts.options.num_checkpoints = options.num_prefixes;
-  parts.options.grid = CheckpointGrid::kFloorMinTwo;
-  parts.options.z_normalize = options.z_normalize;
-  return parts;
-}
-
-}  // namespace
-
-TeaserClassifier::TeaserClassifier(TeaserOptions options)
-    : ComposedEarlyClassifier(TeaserParts(options)), options_(options) {}
-
-std::string TeaserClassifier::config_fingerprint() const {
-  const auto& o = options_;
-  return "TEASER(n=" + std::to_string(o.num_prefixes) +
-         ",v<=" + std::to_string(o.max_consecutive) +
-         ",cv=" + std::to_string(o.cv_folds) +
-         ",z=" + std::to_string(o.z_normalize ? 1 : 0) +
-         ",nu=" + FingerprintDouble(o.ocsvm.nu) +
-         ",gamma=" + FingerprintDouble(o.ocsvm.gamma) +
-         ",seed=" + std::to_string(o.seed) + "," +
-         WeaselOptionsFingerprint(o.weasel) + ")";
-}
-
-std::unique_ptr<EarlyClassifier> TeaserClassifier::CloneUntrained() const {
-  return std::make_unique<TeaserClassifier>(options_);
-}
-
-size_t TeaserClassifier::chosen_v() const {
-  return static_cast<const TeaserGateTrigger&>(trigger()).chosen_v();
-}
-
 }  // namespace etsc

@@ -6,10 +6,8 @@
 #include <vector>
 
 #include "core/classifier.h"
-#include "core/composed.h"
 #include "core/trigger.h"
 #include "ml/one_class_svm.h"
-#include "tsc/weasel.h"
 
 namespace etsc {
 
@@ -20,30 +18,24 @@ namespace etsc {
 /// correctly classified training instances accepts or rejects each
 /// probabilistic prediction; an accepted label is emitted only after v
 /// consecutive identical accepted predictions, with v ∈ {1..5} grid-searched
-/// on the training set by harmonic mean of accuracy and earliness.
-struct TeaserOptions {
-  size_t num_prefixes = 20;  // Table 4: S = 20 (UCR), 10 (Biological/Maritime)
-  size_t max_consecutive = 5;
-  /// Folds used to obtain out-of-sample probabilistic predictions for the
-  /// one-class-SVM training set and the v grid search (the original uses
-  /// cross-validation here; 0 falls back to cheap in-sample predictions).
-  size_t cv_folds = 3;
-  /// The original z-normalises internally; the paper evaluates the variant
-  /// without it (online setting), so the default is off.
-  bool z_normalize = false;
-  OneClassSvmOptions ocsvm;
-  WeaselOptions weasel;
-  uint64_t seed = 23;
-};
-
+/// on the training set by harmonic mean of accuracy and earliness. The prefix
+/// count S (Table 4: 20 for UCR, 10 for Biological/Maritime) is the
+/// composition's checkpoint count; the original's internal z-normalisation
+/// is ComposedOptions::z_normalize, off by default because the paper
+/// evaluates the variant without it (online setting).
+///
 /// TEASER's two-tier gate as a standalone trigger, usable with any base
 /// classifier that produces posteriors: per checkpoint, a one-class SVM
 /// trained on the (posteriors + top-2 margin) features of correctly
 /// classified training instances accepts or rejects the bank's prediction,
 /// and v consecutive identical accepted predictions halt. Registered as
-/// trigger "teaser-gate".
+/// trigger "teaser-gate"; the paper's TEASER is the alias "teaser" =
+/// "weasel+teaser-gate".
 struct TeaserTriggerOptions {
   size_t max_consecutive = 5;
+  /// Folds used to obtain out-of-sample probabilistic predictions for the
+  /// one-class-SVM training set and the v grid search (the original uses
+  /// cross-validation here; 0 falls back to cheap in-sample predictions).
   size_t cv_folds = 3;
   OneClassSvmOptions ocsvm;
   uint64_t seed = 23;
@@ -80,22 +72,6 @@ class TeaserGateTrigger : public Trigger {
   size_t v_ = 1;
   std::vector<OneClassSvm> filters_;
   std::vector<bool> filter_ok_;  // OC-SVM trained successfully per checkpoint
-};
-
-/// Legacy monolithic entry point, now a thin composition of WEASEL with the
-/// "teaser-gate" trigger (bit-identical to the pre-seam implementation).
-class TeaserClassifier : public ComposedEarlyClassifier {
- public:
-  explicit TeaserClassifier(TeaserOptions options = {});
-
-  std::string config_fingerprint() const override;
-  std::unique_ptr<EarlyClassifier> CloneUntrained() const override;
-
-  size_t chosen_v() const;
-  const std::vector<size_t>& prefix_lengths() const { return checkpoints(); }
-
- private:
-  TeaserOptions options_;
 };
 
 }  // namespace etsc

@@ -63,10 +63,6 @@ ComposedEarlyClassifier::ComposedEarlyClassifier(
   ETSC_CHECK(trigger_ != nullptr);
 }
 
-ComposedEarlyClassifier::ComposedEarlyClassifier(ComposedParts parts)
-    : ComposedEarlyClassifier(std::move(parts.name), std::move(parts.base),
-                              std::move(parts.trigger), parts.options) {}
-
 Status ComposedEarlyClassifier::Fit(const Dataset& train) {
   fitted_ = false;
   bank_.clear();
@@ -276,6 +272,11 @@ Status ComposedEarlyClassifier::LoadState(Deserializer& in) {
 
 Result<std::unique_ptr<EarlyClassifier>> MakeComposedFromSpec(
     const std::string& spec) {
+  return MakeComposedFromSpec(spec, spec);
+}
+
+Result<std::unique_ptr<EarlyClassifier>> MakeComposedFromSpec(
+    const std::string& spec, std::string name) {
   const size_t plus = spec.find('+');
   if (plus == std::string::npos || plus == 0 || plus + 1 >= spec.size()) {
     return Status::InvalidArgument(
@@ -290,8 +291,15 @@ Result<std::unique_ptr<EarlyClassifier>> MakeComposedFromSpec(
                         BaseClassifierRegistry::Global().Create(base_name));
   const ComposedOptions options = trigger->DefaultComposedOptions();
   return std::unique_ptr<EarlyClassifier>(
-      std::make_unique<ComposedEarlyClassifier>(spec, std::move(base),
-                                                std::move(trigger), options));
+      std::make_unique<ComposedEarlyClassifier>(
+          std::move(name), std::move(base), std::move(trigger), options));
+}
+
+template <>
+Result<std::unique_ptr<EarlyClassifier>> ClassifierRegistry::Create(
+    const std::string& name) const {
+  if (IsComposedSpec(name)) return MakeComposedFromSpec(name);
+  return Lookup(name);
 }
 
 }  // namespace etsc

@@ -13,19 +13,10 @@
 namespace etsc {
 
 /// Builds one of the shared checkpoint grids over training length `length`:
-/// the exact rounding/minimum rules of the legacy monolithic algorithms (see
+/// the exact rounding/minimum rules of the published algorithms (see
 /// CheckpointGrid), deduped ascending, ending at `length`.
 std::vector<size_t> BuildCheckpointGrid(CheckpointGrid grid, size_t length,
                                         size_t num_checkpoints);
-
-/// Construction bundle for ComposedEarlyClassifier; lets thin legacy wrappers
-/// derive the display name from the base before handing the base over.
-struct ComposedParts {
-  std::string name;
-  std::unique_ptr<FullClassifier> base;  // null for self-contained triggers
-  std::unique_ptr<Trigger> trigger;
-  ComposedOptions options;
-};
 
 /// Pairs any base (full) classifier with any trigger (DESIGN.md sec 15).
 ///
@@ -36,16 +27,15 @@ struct ComposedParts {
 /// at each, emit at the first halt; series shorter than every checkpoint fall
 /// back to the trigger's Finalize or the first bank model on the full series.
 ///
-/// The legacy monolithic algorithms are thin subclasses of this pipeline
-/// (same name/config_fingerprint strings, accessors delegating to their
-/// trigger), so legacy == composed equality is structural, not asserted-only.
+/// The paper's published pairings (ECTS, ECEC, TEASER, ...) are registry
+/// aliases of their '<base>+<trigger>' spec under a display name, so a legacy
+/// name and its spec twin are the same object with a different name().
 class ComposedEarlyClassifier : public EarlyClassifier {
  public:
   ComposedEarlyClassifier(std::string name,
                           std::unique_ptr<FullClassifier> base,
                           std::unique_ptr<Trigger> trigger,
                           ComposedOptions options = {});
-  explicit ComposedEarlyClassifier(ComposedParts parts);
 
   Status Fit(const Dataset& train) override;
   Result<EarlyPrediction> PredictEarly(const TimeSeries& series) const override;
@@ -86,11 +76,17 @@ inline bool IsComposedSpec(const std::string& name) {
 }
 
 /// Instantiates a "classifier+trigger" spec from the two registries (e.g.
-/// "weasel+prob"). Unknown halves yield the registry's structured NotFound
-/// listing the names of the right namespace; a malformed spec yields
-/// InvalidArgument describing the syntax.
+/// "weasel+prob") with the trigger's DefaultComposedOptions(), named after
+/// the spec. Unknown halves yield the registry's structured NotFound listing
+/// the names of the right namespace; a malformed spec yields InvalidArgument
+/// describing the syntax.
 Result<std::unique_ptr<EarlyClassifier>> MakeComposedFromSpec(
     const std::string& spec);
+
+/// As above, but the composition reports `name` as its name() — how the
+/// registry builds aliases ("ects" = "1nn+ects-mpl", shown as "ECTS").
+Result<std::unique_ptr<EarlyClassifier>> MakeComposedFromSpec(
+    const std::string& spec, std::string name);
 
 }  // namespace etsc
 

@@ -1,8 +1,6 @@
 #ifndef ETSC_CORE_TRIGGER_H_
 #define ETSC_CORE_TRIGGER_H_
 
-#include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -11,6 +9,7 @@
 #include "core/classifier.h"
 #include "core/dataset.h"
 #include "core/deadline.h"
+#include "core/registry.h"
 #include "core/serialize.h"
 #include "core/status.h"
 #include "core/time_series.h"
@@ -28,9 +27,9 @@ namespace etsc {
 /// pairings into a campaign cross-product axis.
 
 /// How a ComposedEarlyClassifier spaces its checkpoint (prefix-length) grid
-/// over the training length L. The variants reproduce the grids of the legacy
-/// monolithic algorithms exactly — same rounding, same minimum prefix — so a
-/// legacy algorithm and its composed twin halt at identical time-points.
+/// over the training length L. The variants reproduce the published grids of
+/// the paper's algorithms exactly — same rounding, same minimum prefix — and
+/// each trigger's DefaultComposedOptions() selects its own.
 enum class CheckpointGrid {
   kFloorMinTwo,   // max(2, i*L/n), deduped, L appended (ProbThreshold, TEASER)
   kCeilMinTwo,    // max(2, ceil(i*L/n)), deduped, L appended (ECEC)
@@ -190,61 +189,14 @@ class Trigger {
   }
 };
 
-/// Name -> factory registry for triggers: the second registry namespace next
-/// to ClassifierRegistry. Unknown names yield a structured NotFound listing
-/// the registered trigger names (and only those — the namespaces never mix).
-class TriggerRegistry {
- public:
-  using Factory = std::function<std::unique_ptr<Trigger>()>;
-
-  static TriggerRegistry& Global();
-
-  Status Register(const std::string& name, Factory factory);
-  Result<std::unique_ptr<Trigger>> Create(const std::string& name) const;
-  bool Contains(const std::string& name) const;
-  std::vector<std::string> Names() const;
-
- private:
-  std::map<std::string, Factory> factories_;
+template <>
+struct RegistryKind<Trigger> {
+  static constexpr const char* kName = "trigger";
 };
 
-/// Name -> factory registry for base (full) classifiers usable as the
-/// classifier half of a composition.
-class BaseClassifierRegistry {
- public:
-  using Factory = std::function<std::unique_ptr<FullClassifier>()>;
-
-  static BaseClassifierRegistry& Global();
-
-  Status Register(const std::string& name, Factory factory);
-  Result<std::unique_ptr<FullClassifier>> Create(const std::string& name) const;
-  bool Contains(const std::string& name) const;
-  std::vector<std::string> Names() const;
-
- private:
-  std::map<std::string, Factory> factories_;
-};
-
-namespace internal {
-struct TriggerRegistrar {
-  TriggerRegistrar(const std::string& name, TriggerRegistry::Factory factory);
-};
-struct BaseClassifierRegistrar {
-  BaseClassifierRegistrar(const std::string& name,
-                          BaseClassifierRegistry::Factory factory);
-};
-}  // namespace internal
-
-/// Registers a trigger factory at static-initialisation time:
-///   ETSC_REGISTER_TRIGGER("prob", [] { return std::make_unique<ProbTrigger>(); });
-#define ETSC_REGISTER_TRIGGER(name, factory)                            \
-  static const ::etsc::internal::TriggerRegistrar ETSC_CONCAT_(         \
-      etsc_trigger_registrar_, __COUNTER__)(name, factory)
-
-/// Registers a base-classifier factory at static-initialisation time.
-#define ETSC_REGISTER_BASE_CLASSIFIER(name, factory)                    \
-  static const ::etsc::internal::BaseClassifierRegistrar ETSC_CONCAT_(  \
-      etsc_base_registrar_, __COUNTER__)(name, factory)
+/// Stopping rules by name ("prob", "ects-mpl", ...): the trigger half of a
+/// '<base>+<trigger>' spec.
+using TriggerRegistry = Registry<Trigger>;
 
 }  // namespace etsc
 

@@ -116,13 +116,12 @@ MiniRocketOptions LogisticHead() {
 
 TEST(ProbThreshold, LearnsAndStopsEarly) {
   Dataset d = testing::MakeToyDataset(20, 40, 0.0, 3, 0.05);
-  ProbThresholdClassifier model(
-      std::make_unique<MiniRocketClassifier>(LogisticHead()));
-  ASSERT_TRUE(model.Fit(d).ok());
+  auto model = testing::CreateComposed("prob-threshold");
+  ASSERT_TRUE(model->Fit(d).ok());
   double earliness = 0.0;
   size_t correct = 0;
   for (size_t i = 0; i < d.size(); ++i) {
-    auto pred = model.PredictEarly(d.instance(i));
+    auto pred = model->PredictEarly(d.instance(i));
     ASSERT_TRUE(pred.ok());
     earliness += static_cast<double>(pred->prefix_length) / 40.0;
     if (pred->label == d.label(i)) ++correct;
@@ -133,50 +132,53 @@ TEST(ProbThreshold, LearnsAndStopsEarly) {
 
 TEST(ProbThreshold, HigherThresholdIsMoreCautious) {
   Dataset d = testing::MakeToyDataset(20, 40, 0.3, 3, 0.2);
-  ProbThresholdOptions eager;
+  ProbTriggerOptions eager;
   eager.threshold = 0.55;
-  ProbThresholdOptions cautious;
+  ProbTriggerOptions cautious;
   cautious.threshold = 0.99;
-  ProbThresholdClassifier a(
-      std::make_unique<MiniRocketClassifier>(LogisticHead()), eager);
-  ProbThresholdClassifier b(
-      std::make_unique<MiniRocketClassifier>(LogisticHead()), cautious);
-  ASSERT_TRUE(a.Fit(d).ok());
-  ASSERT_TRUE(b.Fit(d).ok());
+  auto a = testing::Compose(
+      "eager", std::make_unique<MiniRocketClassifier>(LogisticHead()),
+      std::make_unique<ProbTrigger>(eager));
+  auto b = testing::Compose(
+      "cautious", std::make_unique<MiniRocketClassifier>(LogisticHead()),
+      std::make_unique<ProbTrigger>(cautious));
+  ASSERT_TRUE(a->Fit(d).ok());
+  ASSERT_TRUE(b->Fit(d).ok());
   double eager_prefix = 0, cautious_prefix = 0;
   for (size_t i = 0; i < d.size(); ++i) {
-    eager_prefix += static_cast<double>(a.PredictEarly(d.instance(i))->prefix_length);
+    eager_prefix +=
+        static_cast<double>(a->PredictEarly(d.instance(i))->prefix_length);
     cautious_prefix +=
-        static_cast<double>(b.PredictEarly(d.instance(i))->prefix_length);
+        static_cast<double>(b->PredictEarly(d.instance(i))->prefix_length);
   }
   EXPECT_LE(eager_prefix, cautious_prefix);
 }
 
 TEST(ProbThreshold, PrefixGridEndsAtFullLength) {
   Dataset d = testing::MakeToyDataset(10, 30);
-  ProbThresholdClassifier model(std::make_unique<MiniRocketClassifier>());
-  ASSERT_TRUE(model.Fit(d).ok());
-  EXPECT_EQ(model.prefix_lengths().back(), 30u);
+  auto model = testing::CreateComposed("minirocket+prob");
+  ASSERT_TRUE(model->Fit(d).ok());
+  EXPECT_EQ(model->checkpoints().back(), 30u);
 }
 
 TEST(ProbThreshold, BudgetExhaustionReported) {
   Dataset d = testing::MakeToyDataset(15, 30);
-  ProbThresholdClassifier model(std::make_unique<MiniRocketClassifier>());
-  model.set_train_budget_seconds(0.0);
-  EXPECT_EQ(model.Fit(d).code(), StatusCode::kDeadlineExceeded);
+  auto model = testing::CreateComposed("minirocket+prob");
+  model->set_train_budget_seconds(0.0);
+  EXPECT_EQ(model->Fit(d).code(), StatusCode::kDeadlineExceeded);
 }
 
 TEST(ProbThreshold, PredictBeforeFitFails) {
-  ProbThresholdClassifier model(std::make_unique<MiniRocketClassifier>());
-  EXPECT_FALSE(model.PredictEarly(TimeSeries::Univariate({1.0})).ok());
+  auto model = testing::CreateComposed("minirocket+prob");
+  EXPECT_FALSE(model->PredictEarly(TimeSeries::Univariate({1.0})).ok());
 }
 
 TEST(ProbThreshold, MultivariateSupportFollowsBase) {
-  ProbThresholdClassifier model(std::make_unique<MiniRocketClassifier>());
-  EXPECT_TRUE(model.SupportsMultivariate());
+  auto model = testing::CreateComposed("minirocket+prob");
+  EXPECT_TRUE(model->SupportsMultivariate());
   Dataset mv = testing::MakeToyMultivariate(10, 16);
-  ASSERT_TRUE(model.Fit(mv).ok());
-  EXPECT_TRUE(model.PredictEarly(mv.instance(0)).ok());
+  ASSERT_TRUE(model->Fit(mv).ok());
+  EXPECT_TRUE(model->PredictEarly(mv.instance(0)).ok());
 }
 
 TEST(ProbThreshold, ArffToClassifierEndToEnd) {
@@ -195,9 +197,9 @@ TEST(ProbThreshold, ArffToClassifierEndToEnd) {
   }
   auto loaded = ParseArff(arff);
   ASSERT_TRUE(loaded.ok());
-  ProbThresholdClassifier model(std::make_unique<MiniRocketClassifier>());
-  ASSERT_TRUE(model.Fit(*loaded).ok());
-  EXPECT_GE(testing::EarlyAccuracy(model, *loaded), 0.9);
+  auto model = testing::CreateComposed("minirocket+prob");
+  ASSERT_TRUE(model->Fit(*loaded).ok());
+  EXPECT_GE(testing::EarlyAccuracy(*model, *loaded), 0.9);
 }
 
 }  // namespace

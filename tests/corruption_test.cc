@@ -48,11 +48,11 @@ std::vector<size_t> CorpusPositions(size_t size) {
 }
 
 std::string SavedEctsModel() {
-  EctsClassifier model;
-  const Status fitted = model.Fit(testing::MakeToyDataset(6, 16));
+  auto model = testing::CreateComposed("ects");
+  const Status fitted = model->Fit(testing::MakeToyDataset(6, 16));
   EXPECT_TRUE(fitted.ok()) << fitted.ToString();
   std::stringstream stream;
-  EXPECT_TRUE(model.Save(stream).ok());
+  EXPECT_TRUE(model->Save(stream).ok());
   return stream.str();
 }
 
@@ -68,8 +68,8 @@ TEST(ModelCorruption, EveryBitFlipIsDetected) {
       std::string corrupt = bytes;
       corrupt[pos] = static_cast<char>(corrupt[pos] ^ (1 << bit));
       std::stringstream stream(corrupt);
-      EctsClassifier model;
-      const Status status = model.LoadFitted(stream);
+      auto model = testing::CreateComposed("ects");
+      const Status status = model->LoadFitted(stream);
       // The format checksums every section, so a single flipped bit anywhere
       // must be detected — loading can never silently succeed.
       EXPECT_FALSE(status.ok()) << "byte " << pos << " bit " << bit;
@@ -83,8 +83,8 @@ TEST(ModelCorruption, EveryTruncationFailsCleanly) {
   const std::string bytes = SavedEctsModel();
   for (const size_t cut : CorpusPositions(bytes.size())) {
     std::stringstream stream(bytes.substr(0, cut));
-    EctsClassifier model;
-    const Status status = model.LoadFitted(stream);
+    auto model = testing::CreateComposed("ects");
+    const Status status = model->LoadFitted(stream);
     EXPECT_FALSE(status.ok()) << "cut at " << cut;
     EXPECT_TRUE(IsDataLossOrInvalid(status))
         << "cut at " << cut << ": " << status.ToString();
@@ -100,22 +100,22 @@ TEST(ModelCacheCorruption, CorruptEntryBecomesMissAndIsEvicted) {
   const ModelCache cache(dir);
   const Dataset train = testing::MakeToyDataset(6, 16);
 
-  EctsClassifier model;
-  ASSERT_TRUE(model.Fit(train).ok());
+  auto model = testing::CreateComposed("ects");
+  ASSERT_TRUE(model->Fit(train).ok());
   ModelCacheKey key;
-  key.config_fingerprint = model.config_fingerprint();
+  key.config_fingerprint = model->config_fingerprint();
   key.dataset_fingerprint = train.Fingerprint();
   key.fold = 0;
   key.num_folds = 2;
   key.seed = 42;
-  ASSERT_TRUE(cache.Store(key, model).ok());
+  ASSERT_TRUE(cache.Store(key, *model).ok());
 
   // Sanity: the clean entry loads.
-  EctsClassifier restored;
-  ASSERT_TRUE(cache.TryLoad(key, &restored));
+  auto restored = testing::CreateComposed("ects");
+  ASSERT_TRUE(cache.TryLoad(key, restored.get()));
 
   // Corrupt the stored bytes in place (flip a bit in the body).
-  const std::string path = cache.EntryPath(key, model.name());
+  const std::string path = cache.EntryPath(key, model->name());
   std::string bytes;
   {
     std::ifstream in(path, std::ios::binary);
@@ -136,19 +136,19 @@ TEST(ModelCacheCorruption, CorruptEntryBecomesMissAndIsEvicted) {
   const uint64_t evictions_before = evictions.value();
 
   // The corrupt entry is a miss, never an error...
-  EctsClassifier victim;
-  EXPECT_FALSE(cache.TryLoad(key, &victim));
+  auto victim = testing::CreateComposed("ects");
+  EXPECT_FALSE(cache.TryLoad(key, victim.get()));
   // ...the bad file is deleted so later runs don't trip over it again...
   std::ifstream gone(path, std::ios::binary);
   EXPECT_FALSE(gone.good()) << path << " should have been evicted";
   EXPECT_EQ(evictions.value(), evictions_before + 1);
 
   // ...and a refit + store makes the slot usable again.
-  EctsClassifier refit;
-  ASSERT_TRUE(refit.Fit(train).ok());
-  ASSERT_TRUE(cache.Store(key, refit).ok());
-  EctsClassifier reloaded;
-  EXPECT_TRUE(cache.TryLoad(key, &reloaded));
+  auto refit = testing::CreateComposed("ects");
+  ASSERT_TRUE(refit->Fit(train).ok());
+  ASSERT_TRUE(cache.Store(key, *refit).ok());
+  auto reloaded = testing::CreateComposed("ects");
+  EXPECT_TRUE(cache.TryLoad(key, reloaded.get()));
   EXPECT_EQ(evictions.value(), evictions_before + 1);  // no further evictions
 }
 

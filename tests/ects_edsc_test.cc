@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "algos/ects.h"
 #include "algos/edsc.h"
 #include "tests/test_util.h"
@@ -7,16 +10,22 @@
 namespace etsc {
 namespace {
 
+using testing::CreateComposed;
 using testing::EarlyAccuracy;
 using testing::MakeToyDataset;
 using testing::MakeToyMultivariate;
+using testing::TriggerOf;
+
+const std::vector<size_t>& Mpls(const EarlyClassifier& model) {
+  return TriggerOf<EctsMplTrigger>(model).mpls();
+}
 
 TEST(Ects, MplsWithinRange) {
   Dataset d = MakeToyDataset(15, 20);
-  EctsClassifier model;
-  ASSERT_TRUE(model.Fit(d).ok());
-  ASSERT_EQ(model.mpls().size(), d.size());
-  for (size_t mpl : model.mpls()) {
+  auto model = CreateComposed("ects");
+  ASSERT_TRUE(model->Fit(d).ok());
+  ASSERT_EQ(Mpls(*model).size(), d.size());
+  for (size_t mpl : Mpls(*model)) {
     EXPECT_GE(mpl, 1u);
     EXPECT_LE(mpl, 20u);
   }
@@ -26,11 +35,11 @@ TEST(Ects, EarlySignalGivesEarlyPredictions) {
   // Signal present from t = 0: MPLs should be well below the full length,
   // so mean earliness stays below 1.
   Dataset d = MakeToyDataset(20, 40, /*signal_start=*/0.0, 3, 0.05);
-  EctsClassifier model;
-  ASSERT_TRUE(model.Fit(d).ok());
+  auto model = CreateComposed("ects");
+  ASSERT_TRUE(model->Fit(d).ok());
   double earliness = 0.0;
   for (size_t i = 0; i < d.size(); ++i) {
-    auto pred = model.PredictEarly(d.instance(i));
+    auto pred = model->PredictEarly(d.instance(i));
     ASSERT_TRUE(pred.ok());
     earliness += static_cast<double>(pred->prefix_length) / 40.0;
   }
@@ -42,28 +51,28 @@ TEST(Ects, LateSignalDelaysPredictions) {
   // Classes identical until 60% of the horizon: accurate prediction requires
   // prefixes reaching into the signal.
   Dataset d = MakeToyDataset(20, 40, /*signal_start=*/0.6, 3, 0.05);
-  EctsClassifier model;
-  ASSERT_TRUE(model.Fit(d).ok());
-  EXPECT_GE(EarlyAccuracy(model, d), 0.9);
+  auto model = CreateComposed("ects");
+  ASSERT_TRUE(model->Fit(d).ok());
+  EXPECT_GE(EarlyAccuracy(*model, d), 0.9);
 }
 
 TEST(Ects, RejectsMultivariateAndTinyInput) {
-  EctsClassifier model;
-  EXPECT_FALSE(model.Fit(MakeToyMultivariate(5, 10)).ok());
+  auto model = CreateComposed("ects");
+  EXPECT_FALSE(model->Fit(MakeToyMultivariate(5, 10)).ok());
   Dataset one("x", {TimeSeries::Univariate({1, 2})}, {0});
-  EXPECT_FALSE(model.Fit(one).ok());
+  EXPECT_FALSE(model->Fit(one).ok());
 }
 
 TEST(Ects, PredictBeforeFitFails) {
-  EctsClassifier model;
-  EXPECT_FALSE(model.PredictEarly(TimeSeries::Univariate({1.0})).ok());
+  auto model = CreateComposed("ects");
+  EXPECT_FALSE(model->PredictEarly(TimeSeries::Univariate({1.0})).ok());
 }
 
 TEST(Ects, BudgetExhaustionReported) {
   Dataset d = MakeToyDataset(40, 60);
-  EctsClassifier model;
-  model.set_train_budget_seconds(0.0);
-  const Status status = model.Fit(d);
+  auto model = CreateComposed("ects");
+  model->set_train_budget_seconds(0.0);
+  const Status status = model->Fit(d);
   EXPECT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kDeadlineExceeded);
 }
@@ -72,15 +81,17 @@ TEST(Ects, SupportParameterRaisesMpl) {
   Dataset d = MakeToyDataset(15, 20);
   EctsOptions strict;
   strict.support = 1000;  // impossible support -> RNN rule never fires
-  EctsClassifier lax, hard(strict);
-  ASSERT_TRUE(lax.Fit(d).ok());
-  ASSERT_TRUE(hard.Fit(d).ok());
+  auto lax = CreateComposed("ects");
+  auto hard = testing::Compose("ECTS", nullptr,
+                               std::make_unique<EctsMplTrigger>(strict));
+  ASSERT_TRUE(lax->Fit(d).ok());
+  ASSERT_TRUE(hard->Fit(d).ok());
   // With impossible support, per-series MPLs can only come from clustering,
   // never lower than the lax variant on average.
   double lax_sum = 0, hard_sum = 0;
   for (size_t i = 0; i < d.size(); ++i) {
-    lax_sum += static_cast<double>(lax.mpls()[i]);
-    hard_sum += static_cast<double>(hard.mpls()[i]);
+    lax_sum += static_cast<double>(Mpls(*lax)[i]);
+    hard_sum += static_cast<double>(Mpls(*hard)[i]);
   }
   EXPECT_GE(hard_sum, lax_sum);
 }

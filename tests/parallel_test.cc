@@ -297,8 +297,8 @@ void ExpectBitIdenticalCrossValidate(const Dataset& data,
 
 TEST(ParallelDeterminism, EctsCrossValidateIsBitIdentical) {
   const Dataset data = testing::MakeToyDataset(15, 24);
-  EctsClassifier ects{EctsOptions{}};
-  ExpectBitIdenticalCrossValidate(data, ects);
+  auto ects = testing::CreateComposed("ects");
+  ExpectBitIdenticalCrossValidate(data, *ects);
 }
 
 TEST(ParallelDeterminism, EdscCrossValidateIsBitIdentical) {
@@ -310,11 +310,11 @@ TEST(ParallelDeterminism, EdscCrossValidateIsBitIdentical) {
 TEST(ParallelDeterminism, FoldSeedsAreSplitNotDrawnInDispatchOrder) {
   // The per-fold seed must be a pure function of (options.seed, fold index).
   const Dataset data = testing::MakeToyDataset(12, 16);
-  EctsClassifier ects{EctsOptions{}};
+  auto ects = testing::CreateComposed("ects");
   EvaluationOptions options;
   options.num_folds = 4;
   options.seed = 123;
-  const EvaluationResult result = CrossValidate(data, ects, options);
+  const EvaluationResult result = CrossValidate(data, *ects, options);
   ASSERT_EQ(result.folds.size(), 4u);
   for (size_t f = 0; f < result.folds.size(); ++f) {
     EXPECT_EQ(result.folds[f].fold_seed, SplitSeed(123, f));

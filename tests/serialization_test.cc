@@ -7,10 +7,12 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "algos/base_classifiers.h"
 #include "algos/ects.h"
 #include "algos/registrations.h"
 #include "core/counters.h"
@@ -79,11 +81,11 @@ TEST_F(SerializationTest, EveryRegisteredAlgorithmRoundTripsBitIdentically) {
 // ---------------------------------------------------------------------------
 
 std::string SavedEctsModel() {
-  EctsClassifier model;
-  const Status fitted = model.Fit(testing::MakeToyDataset(6, 16));
+  auto model = testing::CreateComposed("ects");
+  const Status fitted = model->Fit(testing::MakeToyDataset(6, 16));
   EXPECT_TRUE(fitted.ok()) << fitted.ToString();
   std::stringstream stream;
-  EXPECT_TRUE(model.Save(stream).ok());
+  EXPECT_TRUE(model->Save(stream).ok());
   return stream.str();
 }
 
@@ -101,8 +103,8 @@ TEST_F(SerializationTest, TruncatedStreamsFailCleanly) {
                                               bytes.size() - 1}) {
     SCOPED_TRACE(cut);
     std::stringstream in(bytes.substr(0, cut));
-    EctsClassifier model;
-    const Status status = model.LoadFitted(in);
+    auto model = testing::CreateComposed("ects");
+    const Status status = model->LoadFitted(in);
     ASSERT_FALSE(status.ok());
     EXPECT_TRUE(IsDataLossOrInvalid(status)) << status.ToString();
   }
@@ -118,8 +120,8 @@ TEST_F(SerializationTest, CorruptedBytesAreDetected) {
     std::string corrupt = bytes;
     corrupt[pos] = static_cast<char>(corrupt[pos] ^ 0x5a);
     std::stringstream in(corrupt);
-    EctsClassifier model;
-    const Status status = model.LoadFitted(in);
+    auto model = testing::CreateComposed("ects");
+    const Status status = model->LoadFitted(in);
     ASSERT_FALSE(status.ok());
     EXPECT_TRUE(IsDataLossOrInvalid(status)) << status.ToString();
   }
@@ -127,8 +129,8 @@ TEST_F(SerializationTest, CorruptedBytesAreDetected) {
 
 TEST_F(SerializationTest, GarbageStreamIsRejected) {
   std::stringstream in("this is not a model, not even close");
-  EctsClassifier model;
-  const Status status = model.LoadFitted(in);
+  auto model = testing::CreateComposed("ects");
+  const Status status = model->LoadFitted(in);
   ASSERT_FALSE(status.ok());
   EXPECT_TRUE(IsDataLossOrInvalid(status)) << status.ToString();
 }
@@ -138,8 +140,8 @@ TEST_F(SerializationTest, FutureVersionIsInvalidArgument) {
   // Format: 8-byte magic, then the u32 version little-endian.
   bytes[8] = 99;
   std::stringstream in(bytes);
-  EctsClassifier model;
-  const Status status = model.LoadFitted(in);
+  auto model = testing::CreateComposed("ects");
+  const Status status = model->LoadFitted(in);
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
 }
@@ -158,9 +160,11 @@ TEST_F(SerializationTest, WrongConfigurationIsInvalidArgument) {
   const std::string bytes = SavedEctsModel();
   EctsOptions options;
   options.support = 2;  // differs from the saved model's support = 0
-  EctsClassifier model(options);
+  auto model = testing::Compose("ECTS",
+                                std::make_unique<NearestNeighborClassifier>(),
+                                std::make_unique<EctsMplTrigger>(options));
   std::stringstream in(bytes);
-  const Status status = model.LoadFitted(in);
+  const Status status = model->LoadFitted(in);
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
 }
@@ -253,27 +257,27 @@ TEST_F(SerializationTest, CacheKeyedBySeedAndFold) {
 
 TEST_F(SerializationTest, UnloadableCacheEntryIsAMissNotAnError) {
   const Dataset data = testing::MakeToyDataset(6, 16);
-  EctsClassifier model;
-  ASSERT_TRUE(model.Fit(data).ok());
+  auto model = testing::CreateComposed("ects");
+  ASSERT_TRUE(model->Fit(data).ok());
 
   const ModelCache cache(FreshCacheDir("model_cache_corrupt"));
   ModelCacheKey key;
-  key.config_fingerprint = model.config_fingerprint();
+  key.config_fingerprint = model->config_fingerprint();
   key.dataset_fingerprint = data.Fingerprint();
   key.fold = 0;
   key.num_folds = 3;
   key.seed = 7;
-  ASSERT_TRUE(cache.Store(key, model).ok());
+  ASSERT_TRUE(cache.Store(key, *model).ok());
 
-  EctsClassifier restored;
-  EXPECT_TRUE(cache.TryLoad(key, &restored));
+  auto restored = testing::CreateComposed("ects");
+  EXPECT_TRUE(cache.TryLoad(key, restored.get()));
 
   // Overwrite the entry with garbage: loading must degrade to a miss so the
   // caller refits, never an error or a crash.
-  std::ofstream(cache.EntryPath(key, model.name()), std::ios::trunc)
+  std::ofstream(cache.EntryPath(key, model->name()), std::ios::trunc)
       << "garbage";
-  EctsClassifier fresh;
-  EXPECT_FALSE(cache.TryLoad(key, &fresh));
+  auto fresh = testing::CreateComposed("ects");
+  EXPECT_FALSE(cache.TryLoad(key, fresh.get()));
 }
 
 }  // namespace

@@ -51,7 +51,7 @@ class FixedNeed : public EarlyClassifier {
 };
 
 std::shared_ptr<const EarlyClassifier> FittedEcts(const Dataset& d) {
-  auto model = std::make_shared<EctsClassifier>();
+  std::shared_ptr<EarlyClassifier> model = testing::CreateComposed("ects");
   EXPECT_TRUE(model->Fit(d).ok());
   return model;
 }

@@ -212,10 +212,10 @@ TEST_F(SimdEnvTest, WhitespaceTolerantZeroDisables) {
 // ---------------------------------------------------------------------------
 
 EvalScores RunEcts(const Dataset& data) {
-  EctsClassifier ects{EctsOptions{}};
+  auto ects = testing::CreateComposed("ects");
   EvaluationOptions options;
   options.num_folds = 3;
-  const EvaluationResult result = CrossValidate(data, ects, options);
+  const EvaluationResult result = CrossValidate(data, *ects, options);
   for (const auto& fold : result.folds) EXPECT_TRUE(fold.trained);
   return result.MeanScores();
 }
@@ -394,15 +394,15 @@ TEST(SoaGolden, ArffParseFingerprintUnchanged) {
 // views must save and restore to bit-identical predictions.
 TEST(SoaGolden, SaveLoadFittedOverPoolBackedDataset) {
   const Dataset data = testing::MakeToyDataset(8, 24);
-  EctsClassifier fitted{EctsOptions{}};
-  ASSERT_TRUE(fitted.Fit(data).ok());
+  auto fitted = testing::CreateComposed("ects");
+  ASSERT_TRUE(fitted->Fit(data).ok());
   std::stringstream stream;
-  ASSERT_TRUE(fitted.Save(stream).ok());
-  EctsClassifier restored{EctsOptions{}};
-  ASSERT_TRUE(restored.LoadFitted(stream).ok());
+  ASSERT_TRUE(fitted->Save(stream).ok());
+  auto restored = testing::CreateComposed("ects");
+  ASSERT_TRUE(restored->LoadFitted(stream).ok());
   for (size_t i = 0; i < data.size(); ++i) {
-    const auto a = fitted.PredictEarly(data.instance(i));
-    const auto b = restored.PredictEarly(data.instance(i));
+    const auto a = fitted->PredictEarly(data.instance(i));
+    const auto b = restored->PredictEarly(data.instance(i));
     ASSERT_TRUE(a.ok());
     ASSERT_TRUE(b.ok());
     EXPECT_EQ(a->label, b->label);

@@ -6,7 +6,6 @@
 
 #include "algos/ecec.h"
 #include "algos/economy_k.h"
-#include "algos/ects.h"
 #include "algos/edsc.h"
 #include "algos/strut.h"
 #include "algos/teaser.h"
@@ -20,6 +19,8 @@
 namespace etsc {
 namespace {
 
+using testing::Compose;
+using testing::CreateComposed;
 using testing::EarlyAccuracy;
 using testing::FullAccuracy;
 using testing::MakeToyDataset;
@@ -38,9 +39,9 @@ Split MakeSplit(const Dataset& dataset, uint64_t seed = 9) {
 
 TEST(SmokeEarly, Ects) {
   const Split split = MakeSplit(MakeToyDataset(25, 40));
-  EctsClassifier model;
-  ASSERT_TRUE(model.Fit(split.train).ok());
-  EXPECT_GE(EarlyAccuracy(model, split.test), 0.8);
+  auto model = CreateComposed("ects");
+  ASSERT_TRUE(model->Fit(split.train).ok());
+  EXPECT_GE(EarlyAccuracy(*model, split.test), 0.8);
 }
 
 TEST(SmokeEarly, Edsc) {
@@ -55,42 +56,43 @@ TEST(SmokeEarly, Edsc) {
 
 TEST(SmokeEarly, EconomyK) {
   const Split split = MakeSplit(MakeToyDataset(25, 40));
-  EconomyKOptions options;
-  options.max_checkpoints = 8;
+  EcoCostTriggerOptions options;
   options.gbdt.num_rounds = 15;
-  EconomyKClassifier model(options);
-  ASSERT_TRUE(model.Fit(split.train).ok());
-  EXPECT_GE(EarlyAccuracy(model, split.test), 0.8);
+  auto model = Compose("ECO-K", nullptr,
+                       std::make_unique<EcoCostTrigger>(options),
+                       /*num_checkpoints=*/8);
+  ASSERT_TRUE(model->Fit(split.train).ok());
+  EXPECT_GE(EarlyAccuracy(*model, split.test), 0.8);
 }
 
 TEST(SmokeEarly, Ecec) {
   const Split split = MakeSplit(MakeToyDataset(25, 40));
-  EcecOptions options;
-  options.num_prefixes = 6;
-  EcecClassifier model(options);
-  ASSERT_TRUE(model.Fit(split.train).ok());
-  EXPECT_GE(EarlyAccuracy(model, split.test), 0.8);
+  auto model = Compose("ECEC", std::make_unique<WeaselClassifier>(),
+                       std::make_unique<EcecRatioTrigger>(),
+                       /*num_checkpoints=*/6);
+  ASSERT_TRUE(model->Fit(split.train).ok());
+  EXPECT_GE(EarlyAccuracy(*model, split.test), 0.8);
 }
 
 TEST(SmokeEarly, Teaser) {
   const Split split = MakeSplit(MakeToyDataset(25, 40));
-  TeaserOptions options;
-  options.num_prefixes = 6;
-  TeaserClassifier model(options);
-  ASSERT_TRUE(model.Fit(split.train).ok());
-  EXPECT_GE(EarlyAccuracy(model, split.test), 0.8);
+  auto model = Compose("TEASER", std::make_unique<WeaselClassifier>(),
+                       std::make_unique<TeaserGateTrigger>(),
+                       /*num_checkpoints=*/6);
+  ASSERT_TRUE(model->Fit(split.train).ok());
+  EXPECT_GE(EarlyAccuracy(*model, split.test), 0.8);
 }
 
 TEST(SmokeEarly, StrutWeasel) {
   const Split split = MakeSplit(MakeToyDataset(25, 40));
-  auto model = MakeStrutWeasel(false);
+  auto model = CreateComposed("s-weasel");
   ASSERT_TRUE(model->Fit(split.train).ok());
   EXPECT_GE(EarlyAccuracy(*model, split.test), 0.8);
 }
 
 TEST(SmokeEarly, StrutMiniRocket) {
   const Split split = MakeSplit(MakeToyDataset(25, 40));
-  auto model = MakeStrutMiniRocket();
+  auto model = CreateComposed("s-mini");
   ASSERT_TRUE(model->Fit(split.train).ok());
   EXPECT_GE(EarlyAccuracy(*model, split.test), 0.8);
 }
@@ -98,8 +100,10 @@ TEST(SmokeEarly, StrutMiniRocket) {
 TEST(SmokeEarly, StrutMlstm) {
   const Split split = MakeSplit(MakeToyDataset(20, 24));
   StrutOptions options;
+  options.search = StrutSearch::kGrid;  // as the "s-mlstm" alias
   options.fractions = {0.25, 0.5, 1.0};
-  auto model = MakeStrutMlstm(options);
+  auto model = Compose("S-MLSTM", std::make_unique<MlstmClassifier>(),
+                       std::make_unique<StrutTrigger>(options));
   ASSERT_TRUE(model->Fit(split.train).ok());
   EXPECT_GE(EarlyAccuracy(*model, split.test), 0.7);
 }
@@ -145,10 +149,10 @@ TEST(SmokeFull, Mlstm) {
 // length and at least 1.
 TEST(SmokeEarly, PrefixLengthsAreSane) {
   const Split split = MakeSplit(MakeToyDataset(20, 30));
-  EctsClassifier model;
-  ASSERT_TRUE(model.Fit(split.train).ok());
+  auto model = CreateComposed("ects");
+  ASSERT_TRUE(model->Fit(split.train).ok());
   for (size_t i = 0; i < split.test.size(); ++i) {
-    auto pred = model.PredictEarly(split.test.instance(i));
+    auto pred = model->PredictEarly(split.test.instance(i));
     ASSERT_TRUE(pred.ok());
     EXPECT_GE(pred->prefix_length, 1u);
     EXPECT_LE(pred->prefix_length, split.test.instance(i).length());

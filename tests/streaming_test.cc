@@ -250,9 +250,9 @@ TEST(StreamingSession, ManySessionsShareOneClassifierConcurrently) {
   // One const fitted model, many sessions across threads: the TSan build of
   // this test is the proof that PredictEarly is safely shareable read-only.
   Dataset d = testing::MakeToyDataset(10, 16, 0.0, 3, 0.05);
-  EctsClassifier model;
-  ASSERT_TRUE(model.Fit(d).ok());
-  const EarlyClassifier& shared = model;
+  auto model = testing::CreateComposed("ects");
+  ASSERT_TRUE(model->Fit(d).ok());
+  const EarlyClassifier& shared = *model;
 
   constexpr size_t kThreads = 8;
   constexpr size_t kSessionsPerThread = 4;
@@ -290,14 +290,14 @@ TEST(StreamingSession, MatchesBatchPredictionWithRealAlgorithm) {
   // Streaming an instance point-by-point must reach the same label as the
   // batch PredictEarly, and commit no later.
   Dataset d = testing::MakeToyDataset(15, 24, 0.0, 3, 0.05);
-  EctsClassifier model;
-  ASSERT_TRUE(model.Fit(d).ok());
+  auto model = testing::CreateComposed("ects");
+  ASSERT_TRUE(model->Fit(d).ok());
 
   const TimeSeries& instance = d.instance(0);
-  auto batch = model.PredictEarly(instance);
+  auto batch = model->PredictEarly(instance);
   ASSERT_TRUE(batch.ok());
 
-  StreamingSession session(model, 1);
+  StreamingSession session(*model, 1);
   std::optional<EarlyPrediction> streamed;
   for (size_t t = 0; t < instance.length() && !streamed.has_value(); ++t) {
     auto out = session.Push({instance.at(0, t)});

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+
 #include "tests/test_util.h"
 #include "tsc/minirocket.h"
 #include "tsc/weasel.h"
@@ -9,26 +12,40 @@
 namespace etsc {
 namespace {
 
+using testing::Compose;
+using testing::CreateComposed;
 using testing::EarlyAccuracy;
 using testing::MakeToyDataset;
 using testing::MakeToyMultivariate;
+using testing::TriggerOf;
+
+/// STRUT over MiniROCKET: the "s-mini" composition with `options`.
+std::unique_ptr<ComposedEarlyClassifier> Strut(StrutOptions options = {},
+                                               std::string name = "S-MINI") {
+  return Compose(std::move(name), std::make_unique<MiniRocketClassifier>(),
+                 std::make_unique<StrutTrigger>(std::move(options)));
+}
+
+size_t TruncationPoint(const EarlyClassifier& model) {
+  return TriggerOf<StrutTrigger>(model).truncation_point();
+}
 
 TEST(Strut, TruncationPointWithinHorizon) {
   Dataset d = MakeToyDataset(20, 40);
-  StrutClassifier model(std::make_unique<MiniRocketClassifier>());
-  ASSERT_TRUE(model.Fit(d).ok());
-  EXPECT_GE(model.truncation_point(), 2u);
-  EXPECT_LE(model.truncation_point(), 40u);
+  auto model = Strut();
+  ASSERT_TRUE(model->Fit(d).ok());
+  EXPECT_GE(TruncationPoint(*model), 2u);
+  EXPECT_LE(TruncationPoint(*model), 40u);
 }
 
 TEST(Strut, EveryPredictionConsumesTheChosenPrefix) {
   Dataset d = MakeToyDataset(15, 30);
-  StrutClassifier model(std::make_unique<MiniRocketClassifier>());
-  ASSERT_TRUE(model.Fit(d).ok());
+  auto model = Strut();
+  ASSERT_TRUE(model->Fit(d).ok());
   for (size_t i = 0; i < d.size(); ++i) {
-    auto pred = model.PredictEarly(d.instance(i));
+    auto pred = model->PredictEarly(d.instance(i));
     ASSERT_TRUE(pred.ok());
-    EXPECT_EQ(pred->prefix_length, model.truncation_point());
+    EXPECT_EQ(pred->prefix_length, TruncationPoint(*model));
   }
 }
 
@@ -38,38 +55,38 @@ TEST(Strut, HarmonicMeanMetricPrefersEarlyOnEarlySignal) {
   Dataset d = MakeToyDataset(25, 40, 0.0, 3, 0.05);
   StrutOptions options;
   options.metric = StrutMetric::kHarmonicMean;
-  StrutClassifier model(std::make_unique<MiniRocketClassifier>(), options);
-  ASSERT_TRUE(model.Fit(d).ok());
-  EXPECT_LT(model.truncation_point(), 30u);
-  EXPECT_GE(EarlyAccuracy(model, d), 0.85);
+  auto model = Strut(options);
+  ASSERT_TRUE(model->Fit(d).ok());
+  EXPECT_LT(TruncationPoint(*model), 30u);
+  EXPECT_GE(EarlyAccuracy(*model, d), 0.85);
 }
 
 TEST(Strut, LateSignalPushesTruncationLater) {
   Dataset early_d = MakeToyDataset(25, 40, 0.0, 3, 0.05);
   Dataset late_d = MakeToyDataset(25, 40, 0.7, 3, 0.05);
-  StrutClassifier early_m(std::make_unique<MiniRocketClassifier>());
-  StrutClassifier late_m(std::make_unique<MiniRocketClassifier>());
-  ASSERT_TRUE(early_m.Fit(early_d).ok());
-  ASSERT_TRUE(late_m.Fit(late_d).ok());
-  EXPECT_LT(early_m.truncation_point(), late_m.truncation_point());
+  auto early_m = Strut();
+  auto late_m = Strut();
+  ASSERT_TRUE(early_m->Fit(early_d).ok());
+  ASSERT_TRUE(late_m->Fit(late_d).ok());
+  EXPECT_LT(TruncationPoint(*early_m), TruncationPoint(*late_m));
 }
 
 TEST(Strut, AccuracyMetricRuns) {
   Dataset d = MakeToyDataset(15, 30);
   StrutOptions options;
   options.metric = StrutMetric::kAccuracy;
-  StrutClassifier model(std::make_unique<MiniRocketClassifier>(), options);
-  ASSERT_TRUE(model.Fit(d).ok());
-  EXPECT_GE(EarlyAccuracy(model, d), 0.9);
+  auto model = Strut(options);
+  ASSERT_TRUE(model->Fit(d).ok());
+  EXPECT_GE(EarlyAccuracy(*model, d), 0.9);
 }
 
 TEST(Strut, F1MetricRuns) {
   Dataset d = MakeToyDataset(15, 30);
   StrutOptions options;
   options.metric = StrutMetric::kF1;
-  StrutClassifier model(std::make_unique<MiniRocketClassifier>(), options);
-  ASSERT_TRUE(model.Fit(d).ok());
-  EXPECT_GE(EarlyAccuracy(model, d), 0.9);
+  auto model = Strut(options);
+  ASSERT_TRUE(model->Fit(d).ok());
+  EXPECT_GE(EarlyAccuracy(*model, d), 0.9);
 }
 
 TEST(Strut, GridSearchMatchesFractions) {
@@ -77,9 +94,9 @@ TEST(Strut, GridSearchMatchesFractions) {
   StrutOptions options;
   options.search = StrutSearch::kGrid;
   options.fractions = {0.5};
-  StrutClassifier model(std::make_unique<MiniRocketClassifier>(), options);
-  ASSERT_TRUE(model.Fit(d).ok());
-  EXPECT_EQ(model.truncation_point(), 20u);
+  auto model = Strut(options);
+  ASSERT_TRUE(model->Fit(d).ok());
+  EXPECT_EQ(TruncationPoint(*model), 20u);
 }
 
 TEST(Strut, BinaryRefinementNeverLaterThanGridBest) {
@@ -88,60 +105,59 @@ TEST(Strut, BinaryRefinementNeverLaterThanGridBest) {
   grid.search = StrutSearch::kGrid;
   StrutOptions binary = grid;
   binary.search = StrutSearch::kBinary;
-  StrutClassifier g(std::make_unique<MiniRocketClassifier>(), grid);
-  StrutClassifier b(std::make_unique<MiniRocketClassifier>(), binary);
-  ASSERT_TRUE(g.Fit(d).ok());
-  ASSERT_TRUE(b.Fit(d).ok());
-  EXPECT_LE(b.truncation_point(), g.truncation_point());
+  auto g = Strut(grid);
+  auto b = Strut(binary);
+  ASSERT_TRUE(g->Fit(d).ok());
+  ASSERT_TRUE(b->Fit(d).ok());
+  EXPECT_LE(TruncationPoint(*b), TruncationPoint(*g));
 }
 
 TEST(Strut, NamesFollowPaperConventions) {
-  EXPECT_EQ(MakeStrutWeasel(false)->name(), "S-WEASEL");
-  EXPECT_EQ(MakeStrutMiniRocket()->name(), "S-MINI");
-  EXPECT_EQ(MakeStrutMlstm()->name(), "S-MLSTM");
+  EXPECT_EQ(CreateComposed("s-weasel")->name(), "S-WEASEL");
+  EXPECT_EQ(CreateComposed("s-mini")->name(), "S-MINI");
+  EXPECT_EQ(CreateComposed("s-mlstm")->name(), "S-MLSTM");
 }
 
 TEST(Strut, AdaptiveWeaselHandlesBothDimensionalities) {
-  auto uni = MakeStrutWeasel(false);
+  auto uni = CreateComposed("s-weasel");
   ASSERT_TRUE(uni->Fit(MakeToyDataset(15, 30)).ok());
-  auto mv = MakeStrutWeasel(true);
+  auto mv = CreateComposed("s-weasel");
   ASSERT_TRUE(mv->Fit(MakeToyMultivariate(12, 24)).ok());
   EXPECT_TRUE(mv->SupportsMultivariate());
 }
 
 TEST(Strut, TooFewSeriesRejected) {
   Dataset d("few", {TimeSeries::Univariate({1, 2, 3})}, {0});
-  StrutClassifier model(std::make_unique<MiniRocketClassifier>());
-  EXPECT_FALSE(model.Fit(d).ok());
+  auto model = Strut();
+  EXPECT_FALSE(model->Fit(d).ok());
 }
 
 TEST(Strut, PredictBeforeFitFails) {
-  StrutClassifier model(std::make_unique<MiniRocketClassifier>());
-  EXPECT_FALSE(model.PredictEarly(TimeSeries::Univariate({1.0})).ok());
+  auto model = Strut();
+  EXPECT_FALSE(model->PredictEarly(TimeSeries::Univariate({1.0})).ok());
 }
 
 TEST(Strut, BudgetExhaustionReported) {
   Dataset d = MakeToyDataset(20, 40);
-  StrutClassifier model(std::make_unique<MiniRocketClassifier>());
-  model.set_train_budget_seconds(0.0);
-  EXPECT_EQ(model.Fit(d).code(), StatusCode::kDeadlineExceeded);
+  auto model = Strut();
+  model->set_train_budget_seconds(0.0);
+  EXPECT_EQ(model->Fit(d).code(), StatusCode::kDeadlineExceeded);
 }
 
 TEST(Strut, CloneUntrainedKeepsNameAndConfig) {
   StrutOptions options;
   options.metric = StrutMetric::kAccuracy;
-  StrutClassifier model(std::make_unique<MiniRocketClassifier>(), options,
-                        "S-CUSTOM");
-  auto clone = model.CloneUntrained();
+  auto model = Strut(options, "S-CUSTOM");
+  auto clone = model->CloneUntrained();
   EXPECT_EQ(clone->name(), "S-CUSTOM");
 }
 
 TEST(Strut, ShorterTestSeriesConsumesWhatExists) {
   Dataset d = MakeToyDataset(15, 30);
-  StrutClassifier model(std::make_unique<MiniRocketClassifier>());
-  ASSERT_TRUE(model.Fit(d).ok());
-  const size_t t = model.truncation_point();
-  auto pred = model.PredictEarly(d.instance(0).Prefix(t / 2 + 1));
+  auto model = Strut();
+  ASSERT_TRUE(model->Fit(d).ok());
+  const size_t t = TruncationPoint(*model);
+  auto pred = model->PredictEarly(d.instance(0).Prefix(t / 2 + 1));
   ASSERT_TRUE(pred.ok());
   EXPECT_LE(pred->prefix_length, t / 2 + 1);
 }

@@ -2,10 +2,15 @@
 #define ETSC_TESTS_TEST_UTIL_H_
 
 #include <cmath>
+#include <memory>
 #include <numbers>
+#include <string>
 #include <vector>
 
+#include "algos/registrations.h"
+#include "core/composed.h"
 #include "core/dataset.h"
+#include "core/registry.h"
 #include "core/rng.h"
 #include "core/time_series.h"
 
@@ -92,6 +97,39 @@ double FullAccuracy(const Classifier& classifier, const Dataset& test) {
   return test.empty() ? 0.0
                       : static_cast<double>(correct) /
                             static_cast<double>(test.size());
+}
+
+/// A registered algorithm or '<base>+<trigger>' spec, as the composition it
+/// is (the paper's algorithms other than EDSC are aliases of composed specs).
+inline std::unique_ptr<ComposedEarlyClassifier> CreateComposed(
+    const std::string& name) {
+  RegisterBuiltinClassifiers();
+  auto created = ClassifierRegistry::Global().Create(name);
+  ETSC_CHECK(created.ok());
+  auto* composed = dynamic_cast<ComposedEarlyClassifier*>(created->get());
+  ETSC_CHECK(composed != nullptr);
+  created->release();
+  return std::unique_ptr<ComposedEarlyClassifier>(composed);
+}
+
+/// A composition over the trigger's published grid (DefaultComposedOptions),
+/// with the checkpoint count overridden when `num_checkpoints` > 0: how a
+/// test builds an algorithm with non-default options.
+inline std::unique_ptr<ComposedEarlyClassifier> Compose(
+    std::string name, std::unique_ptr<FullClassifier> base,
+    std::unique_ptr<Trigger> trigger, size_t num_checkpoints = 0) {
+  ComposedOptions options = trigger->DefaultComposedOptions();
+  if (num_checkpoints > 0) options.num_checkpoints = num_checkpoints;
+  return std::make_unique<ComposedEarlyClassifier>(
+      std::move(name), std::move(base), std::move(trigger), options);
+}
+
+/// The trigger of a composition, typed for its fitted accessors (mpls(),
+/// threshold(), chosen_v(), truncation_point(), ...).
+template <typename T>
+const T& TriggerOf(const EarlyClassifier& model) {
+  return dynamic_cast<const T&>(
+      dynamic_cast<const ComposedEarlyClassifier&>(model).trigger());
 }
 
 }  // namespace testing

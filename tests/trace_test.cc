@@ -126,10 +126,10 @@ TEST(Trace, SpansFromPoolThreadsAreCollected) {
 TEST(Trace, CrossValidateEmitsFoldFitAndPredictSpans) {
   ScopedTracing scoped(true);
   const Dataset data = testing::MakeToyDataset(10, 16);
-  EctsClassifier ects{EctsOptions{}};
+  auto ects = testing::CreateComposed("ects");
   EvaluationOptions options;
   options.num_folds = 2;
-  const EvaluationResult result = CrossValidate(data, ects, options);
+  const EvaluationResult result = CrossValidate(data, *ects, options);
   ASSERT_TRUE(result.trained());
 
   const auto parsed = json::Parse(trace::ToChromeJson());
@@ -149,14 +149,14 @@ TEST(Trace, TracingOnDoesNotPerturbDeterminism) {
   // sections 8 and 9).
   ScopedTracing scoped(true);
   const Dataset data = testing::MakeToyDataset(12, 20);
-  EctsClassifier ects{EctsOptions{}};
+  auto ects = testing::CreateComposed("ects");
   EvaluationOptions options;
   options.num_folds = 3;
 
   SetMaxParallelism(1);
-  const EvaluationResult serial = CrossValidate(data, ects, options);
+  const EvaluationResult serial = CrossValidate(data, *ects, options);
   SetMaxParallelism(8);
-  const EvaluationResult parallel = CrossValidate(data, ects, options);
+  const EvaluationResult parallel = CrossValidate(data, *ects, options);
   SetMaxParallelism(0);
 
   ASSERT_EQ(serial.folds.size(), parallel.folds.size());
@@ -290,10 +290,10 @@ TEST(Counters, InstrumentedEvaluationFeedsTheRegistry) {
   const uint64_t predictions_before = predictions.value();
 
   const Dataset data = testing::MakeToyDataset(10, 16);
-  EctsClassifier ects{EctsOptions{}};
+  auto ects = testing::CreateComposed("ects");
   EvaluationOptions options;
   options.num_folds = 2;
-  const EvaluationResult result = CrossValidate(data, ects, options);
+  const EvaluationResult result = CrossValidate(data, *ects, options);
   ASSERT_TRUE(result.trained());
 
   EXPECT_EQ(folds.value(), folds_before + 2);

@@ -1,8 +1,9 @@
 // Tests of the classifier/trigger seam (DESIGN.md sec 15): registry
 // behaviour, per-trigger fit determinism, halt monotonicity, Save/LoadFitted
-// round-trips through ComposedEarlyClassifier, golden equivalence of the
-// legacy monoliths against their composed-spec twins (serial and at pool
-// width 8), and the model cache's demotion of pre-bump ETSCMODL artifacts.
+// round-trips through ComposedEarlyClassifier, the frozen per-fold scores of
+// every registry name and of each alias's spec twin (serial and at pool
+// width 8), alias fingerprints, and the model cache's demotion of pre-bump
+// ETSCMODL artifacts.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +19,7 @@
 #include "algos/base_classifiers.h"
 #include "algos/prob_threshold.h"
 #include "algos/registrations.h"
+#include "bench/bench_common.h"
 #include "core/composed.h"
 #include "core/counters.h"
 #include "core/evaluation.h"
@@ -37,8 +39,9 @@ using testing::MakeToyDataset;
 /// self-contained triggers (ects-mpl, eco-cost) is created but unused.
 const std::vector<std::string>& AllTriggerSpecs() {
   static const auto* kSpecs = new std::vector<std::string>{
-      "gbdt+prob",       "gbdt+ecec-ratio", "weasel+teaser-gate",
-      "1nn+ects-mpl",    "gbdt+eco-cost",   "gbdt+strut-search"};
+      "gbdt+prob",     "gbdt+ecec-ratio",   "weasel+teaser-gate",
+      "1nn+ects-mpl",  "gbdt+eco-cost",     "gbdt+strut-search",
+      "gbdt+strut-grid"};
   return *kSpecs;
 }
 
@@ -91,9 +94,9 @@ TEST(TriggerRegistryTest, UnknownBaseListsRegisteredNames) {
   EXPECT_NE(message.find("weasel"), std::string::npos) << message;
 }
 
-TEST(TriggerRegistryTest, AllSixTriggersAndSevenBasesRegistered) {
+TEST(TriggerRegistryTest, AllTriggersAndBasesRegistered) {
   RegisterBuiltinClassifiers();
-  EXPECT_EQ(TriggerRegistry::Global().Names().size(), 6u);
+  EXPECT_EQ(TriggerRegistry::Global().Names().size(), AllTriggerSpecs().size());
   EXPECT_EQ(BaseClassifierRegistry::Global().Names().size(), 7u);
   for (const std::string& spec : AllTriggerSpecs()) {
     auto model = MakeComposedFromSpec(spec);
@@ -195,83 +198,20 @@ TEST(TriggerSerializationTest, SaveLoadFittedRoundTripPerTrigger) {
 }
 
 // ---------------------------------------------------------------------------
-// Golden equivalence: legacy monolith == composed-spec twin, bit-identical
-// EvalScores, serial and at pool width 8
+// Frozen oracle: every registry name, and every alias's '<base>+<trigger>'
+// twin, reproduces EvalScores recorded (%.17g) while the legacy names were
+// still standalone classes, serial and at pool width 8
 // ---------------------------------------------------------------------------
-
-struct GoldenPair {
-  const char* legacy;  // ClassifierRegistry name, default options
-  const char* spec;    // '<base>+<trigger>' twin with matching defaults
-};
-
-const std::vector<GoldenPair>& GoldenPairs() {
-  static const auto* kPairs = new std::vector<GoldenPair>{
-      {"ecec", "weasel+ecec-ratio"},
-      {"ects", "1nn+ects-mpl"},
-      {"economy-k", "gbdt+eco-cost"},
-      {"teaser", "weasel+teaser-gate"},
-      {"prob-threshold", "minirocket-logistic+prob"},
-      {"s-weasel", "adaptive-weasel+strut-search"},
-  };
-  return *kPairs;
-}
 
 EvaluationResult EvaluateToy(const Dataset& data,
                              const EarlyClassifier& prototype) {
   EvaluationOptions options;
   options.num_folds = 2;
-  // The voting wrapper multiplies every fit by its ensemble width and wraps
-  // legacy and twin identically; skip it to keep the matrix fast.
+  // The voting wrapper multiplies every fit by its ensemble width; skip it to
+  // keep the matrix fast.
   options.wrap_univariate_with_voting = false;
   return CrossValidate(data, prototype, options);
 }
-
-void ExpectSameScores(const EvaluationResult& legacy,
-                      const EvaluationResult& twin, const std::string& what) {
-  ASSERT_EQ(legacy.folds.size(), twin.folds.size()) << what;
-  for (size_t f = 0; f < legacy.folds.size(); ++f) {
-    ASSERT_TRUE(legacy.folds[f].trained) << what << " fold " << f;
-    ASSERT_TRUE(twin.folds[f].trained) << what << " fold " << f;
-    const EvalScores& a = legacy.folds[f].scores;
-    const EvalScores& b = twin.folds[f].scores;
-    EXPECT_EQ(a.accuracy, b.accuracy) << what << " fold " << f;
-    EXPECT_EQ(a.f1, b.f1) << what << " fold " << f;
-    EXPECT_EQ(a.earliness, b.earliness) << what << " fold " << f;
-    EXPECT_EQ(a.harmonic_mean, b.harmonic_mean) << what << " fold " << f;
-  }
-}
-
-TEST(GoldenEquivalenceTest, LegacyEqualsComposedTwinSerialAndParallel) {
-  RegisterBuiltinClassifiers();
-  const Dataset data = MakeToyDataset(12, 32);
-  for (const GoldenPair& pair : GoldenPairs()) {
-    auto legacy = ClassifierRegistry::Global().Create(pair.legacy);
-    auto twin = MakeComposedFromSpec(pair.spec);
-    ASSERT_TRUE(legacy.ok()) << pair.legacy;
-    ASSERT_TRUE(twin.ok()) << pair.spec;
-
-    SetMaxParallelism(1);
-    const EvaluationResult legacy_serial = EvaluateToy(data, **legacy);
-    const EvaluationResult twin_serial = EvaluateToy(data, **twin);
-    SetMaxParallelism(8);
-    const EvaluationResult legacy_parallel = EvaluateToy(data, **legacy);
-    const EvaluationResult twin_parallel = EvaluateToy(data, **twin);
-    SetMaxParallelism(0);  // restore the ETSC_THREADS / hardware default
-
-    const std::string what =
-        std::string(pair.legacy) + " vs " + pair.spec;
-    ExpectSameScores(legacy_serial, twin_serial, what + " (serial)");
-    ExpectSameScores(legacy_parallel, twin_parallel, what + " (width 8)");
-    ExpectSameScores(legacy_serial, legacy_parallel,
-                     what + " (legacy serial vs width 8)");
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Frozen oracle: every registry name reproduces EvalScores recorded (%.17g)
-// before the legacy names became '<base>+<trigger>' aliases, serial and at
-// pool width 8
-// ---------------------------------------------------------------------------
 
 struct FrozenScores {
   const char* name;      // ClassifierRegistry name
@@ -325,23 +265,125 @@ void ExpectFrozenScores(const EvaluationResult& result,
   }
 }
 
+/// Cross-validates `model` serial and at width 8 against `frozen`.
+void ExpectFrozenSerialAndParallel(const EarlyClassifier& model,
+                                   const FrozenScores& frozen,
+                                   const std::string& what) {
+  const Dataset data = MakeToyDataset(12, 32);
+  SetMaxParallelism(1);
+  const EvaluationResult serial = EvaluateToy(data, model);
+  SetMaxParallelism(8);
+  const EvaluationResult parallel = EvaluateToy(data, model);
+  SetMaxParallelism(0);  // restore the ETSC_THREADS / hardware default
+  ExpectFrozenScores(serial, frozen, what + " (serial)");
+  ExpectFrozenScores(parallel, frozen, what + " (width 8)");
+}
+
 TEST(GoldenEquivalenceTest, RegistryNamesReproduceFrozenScores) {
   RegisterBuiltinClassifiers();
-  const Dataset data = MakeToyDataset(12, 32);
   EXPECT_EQ(FrozenRegistryScores().size(),
             ClassifierRegistry::Global().Names().size());
   for (const FrozenScores& frozen : FrozenRegistryScores()) {
     auto model = ClassifierRegistry::Global().Create(frozen.name);
     ASSERT_TRUE(model.ok()) << frozen.name;
-    SetMaxParallelism(1);
-    const EvaluationResult serial = EvaluateToy(data, **model);
-    SetMaxParallelism(8);
-    const EvaluationResult parallel = EvaluateToy(data, **model);
-    SetMaxParallelism(0);  // restore the ETSC_THREADS / hardware default
-    ExpectFrozenScores(serial, frozen, std::string(frozen.name) + " (serial)");
-    ExpectFrozenScores(parallel, frozen,
-                       std::string(frozen.name) + " (width 8)");
+    ExpectFrozenSerialAndParallel(**model, frozen, frozen.name);
   }
+}
+
+TEST(GoldenEquivalenceTest, LegacyEqualsComposedTwinSerialAndParallel) {
+  RegisterBuiltinClassifiers();
+  size_t aliases = 0;
+  for (const FrozenScores& frozen : FrozenRegistryScores()) {
+    const std::string spec = ClassifierRegistry::Global().SpecOf(frozen.name);
+    if (spec.empty()) continue;  // edsc: no classifier/trigger split
+    ++aliases;
+    auto twin = MakeComposedFromSpec(spec);
+    ASSERT_TRUE(twin.ok()) << spec;
+    ExpectFrozenSerialAndParallel(**twin, frozen,
+                                  std::string(frozen.name) + " twin " + spec);
+  }
+  EXPECT_EQ(aliases, 8u);
+}
+
+// ---------------------------------------------------------------------------
+// Aliases: one namespace, fingerprints shared with the spec twin
+// ---------------------------------------------------------------------------
+
+std::string FingerprintOf(const std::string& name) {
+  auto model = ClassifierRegistry::Global().Create(name);
+  EXPECT_TRUE(model.ok()) << name << ": " << model.status().ToString();
+  return model.ok() ? (*model)->config_fingerprint() : std::string();
+}
+
+TEST(AliasTest, AliasSharesItsSpecTwinsFingerprint) {
+  RegisterBuiltinClassifiers();
+  const auto& registry = ClassifierRegistry::Global();
+  for (const std::string& name : registry.Names()) {
+    const std::string spec = registry.SpecOf(name);
+    if (spec.empty()) continue;
+    EXPECT_EQ(FingerprintOf(name), FingerprintOf(spec)) << name;
+  }
+  // The alias keeps the paper's display name; the twin is named by its spec.
+  EXPECT_EQ((*registry.Create("ects"))->name(), "ECTS");
+  EXPECT_EQ((*registry.Create("1nn+ects-mpl"))->name(), "1nn+ects-mpl");
+}
+
+TEST(AliasTest, DistinctConfigurationsHaveDistinctFingerprints) {
+  RegisterBuiltinClassifiers();
+  // Three STRUT presets: different bases, and S-MLSTM's grid search.
+  EXPECT_NE(FingerprintOf("s-weasel"), FingerprintOf("s-mini"));
+  EXPECT_NE(FingerprintOf("s-mini"), FingerprintOf("s-mlstm"));
+  EXPECT_NE(FingerprintOf("s-weasel"), FingerprintOf("s-mlstm"));
+  EXPECT_NE(FingerprintOf("minirocket+strut-search"),
+            FingerprintOf("minirocket+strut-grid"));
+
+  // The campaign presets override the registered defaults.
+  auto ecec_preset = bench::MakePaperAlgorithm("ECEC", "PowerCons", 144);
+  ASSERT_TRUE(ecec_preset.ok());
+  EXPECT_NE((*ecec_preset)->config_fingerprint(), FingerprintOf("ecec"));
+  auto teaser_ucr = bench::MakePaperAlgorithm("TEASER", "PowerCons", 144);
+  auto teaser_bio = bench::MakePaperAlgorithm("TEASER", "Biological", 144);
+  ASSERT_TRUE(teaser_ucr.ok() && teaser_bio.ok());
+  EXPECT_NE((*teaser_ucr)->config_fingerprint(),
+            (*teaser_bio)->config_fingerprint());
+}
+
+TEST(AliasTest, LegacyFingerprintStreamIsRefused) {
+  RegisterBuiltinClassifiers();
+  auto model = ClassifierRegistry::Global().Create("ects");
+  ASSERT_TRUE(model.ok());
+  ASSERT_TRUE((*model)->Fit(MakeToyDataset(6, 16)).ok());
+  // The body bytes an ECTS model has always written, under the header the
+  // standalone ECTS class used to stamp on it.
+  Serializer legacy;
+  legacy.Begin("state");
+  ASSERT_TRUE((*model)->SaveState(legacy).ok());
+  legacy.End();
+  std::stringstream stream;
+  ASSERT_TRUE(
+      legacy.Finish(stream, "early", "ECTS", "ECTS(support=0,merge=0)").ok());
+
+  auto fresh = ClassifierRegistry::Global().Create("ects");
+  ASSERT_TRUE(fresh.ok());
+  const Status status = (*fresh)->LoadFitted(stream);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+  EXPECT_NE(status.message().find("configuration mismatch"), std::string::npos)
+      << status.ToString();
+}
+
+TEST(AliasTest, CreateResolvesSpecsThroughTheOneResolver) {
+  RegisterBuiltinClassifiers();
+  auto spec = ClassifierRegistry::Global().Create("1nn+prob");
+  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+  EXPECT_EQ((*spec)->name(), "1nn+prob");
+  auto bad = ClassifierRegistry::Global().Create("1nn+nope");
+  EXPECT_EQ(bad.status().code(), StatusCode::kNotFound);
+  EXPECT_NE(bad.status().message().find("registered triggers:"),
+            std::string::npos);
+  auto unknown = ClassifierRegistry::Global().Create("nope");
+  EXPECT_EQ(unknown.status().code(), StatusCode::kNotFound);
+  EXPECT_NE(unknown.status().message().find("registered classifiers:"),
+            std::string::npos);
 }
 
 // ---------------------------------------------------------------------------

@@ -123,7 +123,7 @@ TEST_F(VotingSchemeTest, RealAlgorithmAllSchemesWork) {
        {VotingScheme::kMajorityWorstEarliness,
         VotingScheme::kMajorityMeanEarliness, VotingScheme::kEarliestVoter,
         VotingScheme::kEarlinessWeighted}) {
-    ConfigurableVotingClassifier wrapper(std::make_unique<EctsClassifier>(),
+    ConfigurableVotingClassifier wrapper(testing::CreateComposed("ects"),
                                          scheme);
     ASSERT_TRUE(wrapper.Fit(mv).ok()) << VotingSchemeName(scheme);
     EXPECT_GE(testing::EarlyAccuracy(wrapper, mv), 0.7)
@@ -136,12 +136,13 @@ TEST(Tuner, PicksTheBetterCandidate) {
   std::vector<TunerCandidate> grid;
   // A strong candidate and a deliberately crippled one (support so high the
   // RNN rule never fires and MPLs stay at L -> earliness 1 -> HM 0).
-  grid.push_back({"ects-good", [] { return std::make_unique<EctsClassifier>(); }});
+  grid.push_back({"ects-good", [] { return testing::CreateComposed("ects"); }});
   grid.push_back({"ects-late", [] {
                     EctsOptions options;
                     options.support = 100000;
                     options.max_merge_distance_factor = 1e-9;
-                    return std::make_unique<EctsClassifier>(options);
+                    return testing::Compose(
+                        "ECTS", nullptr, std::make_unique<EctsMplTrigger>(options));
                   }});
   auto verdict = TuneEarlyClassifier(d, grid);
   ASSERT_TRUE(verdict.ok());
@@ -168,7 +169,7 @@ TEST(Tuner, AllCandidatesFailingReported) {
 TEST(Tuner, ObjectiveSelectable) {
   Dataset d = testing::MakeToyDataset(12, 20);
   std::vector<TunerCandidate> grid;
-  grid.push_back({"ects", [] { return std::make_unique<EctsClassifier>(); }});
+  grid.push_back({"ects", [] { return testing::CreateComposed("ects"); }});
   TunerOptions options;
   options.objective = TunerObjective::kAccuracy;
   auto verdict = TuneEarlyClassifier(d, grid, options);
