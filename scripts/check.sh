@@ -267,7 +267,7 @@ trap 'rm -rf "$SHARD_DIR" "$SIMD_DIR" "$FAULT_DIR" "$FABRIC_DIR" "$SERVE_DIR" "$
     "$COMPOSE_DIR/legacy.csv.report.json" "$COMPOSE_DIR/twin8.csv.report.json" \
     --map-algo ECTS=1nn+ects-mpl
 )
-echo "check.sh: composition gate — 3x3 grid merged with cost scores, legacy == composed twin"
+echo "check.sh: composition gate — 3x3 grid merged with cost scores, paper name == composed spec"
 
 # Perf-ledger gate: perfbench/ links against the library's public surface
 # (MakeComposedFromSpec, RegisterBuiltinClassifiers, bench::Campaign) from its

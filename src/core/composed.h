@@ -28,8 +28,8 @@ std::vector<size_t> BuildCheckpointGrid(CheckpointGrid grid, size_t length,
 /// back to the trigger's Finalize or the first bank model on the full series.
 ///
 /// The paper's published pairings (ECTS, ECEC, TEASER, ...) are registry
-/// aliases of their '<base>+<trigger>' spec under a display name, so a legacy
-/// name and its spec twin are the same object with a different name().
+/// aliases of their '<base>+<trigger>' spec under a display name, so an
+/// alias and its spec twin are the same composition with a different name().
 class ComposedEarlyClassifier : public EarlyClassifier {
  public:
   ComposedEarlyClassifier(std::string name,
@@ -50,9 +50,6 @@ class ComposedEarlyClassifier : public EarlyClassifier {
   /// Prefix lengths walked at predict time (fitted instances only).
   const std::vector<size_t>& checkpoints() const { return checkpoints_; }
   const Trigger& trigger() const { return *trigger_; }
-  /// The unfitted base prototype; null when the trigger is self-contained
-  /// and no base was supplied.
-  const FullClassifier* base_classifier() const { return base_.get(); }
   /// Per-checkpoint fitted models (empty for self-contained triggers).
   const std::vector<std::unique_ptr<FullClassifier>>& bank() const {
     return bank_;
