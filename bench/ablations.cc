@@ -89,7 +89,8 @@ int main() {
   std::printf("== Ablation (a): TEASER one-class SVM tier (PowerCons) ==\n");
   {
     etsc::TeaserTriggerOptions with_svm;
-    Report("TEASER (two-tier)", CrossValidate(power, *Teaser(with_svm), Opts()));
+    Report("TEASER (two-tier)",
+           CrossValidate(power, *Teaser(with_svm), Opts()));
     // Disabling the filter: a huge nu cap makes every OC-SVM fit degenerate to
     // pass-through; emulate by forcing the filter off via max_training_points
     // = 0 is invalid, so use an accept-all variant through options.
@@ -102,7 +103,8 @@ int main() {
 
   std::printf("\n== Ablation (b): TEASER z-normalisation (PowerCons) ==\n");
   {
-    Report("TEASER (no z-norm, paper)", CrossValidate(power, *Teaser({}), Opts()));
+    Report("TEASER (no z-norm, paper)",
+           CrossValidate(power, *Teaser({}), Opts()));
     Report("TEASER (original z-norm)",
            CrossValidate(power, *Teaser({}, /*z_normalize=*/true), Opts()));
   }
@@ -113,12 +115,10 @@ int main() {
     options.alpha = alpha;
     char label[32];
     std::snprintf(label, sizeof(label), "ECEC alpha=%.2f", alpha);
-    Report(label,
-           CrossValidate(power,
-                         *Compose("ECEC", std::make_unique<etsc::WeaselClassifier>(),
-                                  std::make_unique<etsc::EcecRatioTrigger>(options),
-                                  /*num_prefixes=*/10),
-                         Opts()));
+    auto ecec = Compose("ECEC", std::make_unique<etsc::WeaselClassifier>(),
+                        std::make_unique<etsc::EcecRatioTrigger>(options),
+                        /*num_prefixes=*/10);
+    Report(label, CrossValidate(power, *ecec, Opts()));
   }
 
   std::printf("\n== Ablation (d): STRUT search mode (PowerCons) ==\n");

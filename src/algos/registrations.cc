@@ -21,8 +21,9 @@ namespace etsc {
 
 namespace {
 
-/// A legacy algorithm name: shorthand for its '<base>+<trigger>' spec, built
-/// with the trigger's default grid and reporting `display` as its name().
+/// A paper algorithm's registry name: shorthand for its '<base>+<trigger>'
+/// spec, built with the trigger's default grid and reporting `display` as its
+/// name().
 struct Alias {
   const char* name;
   const char* display;
@@ -57,8 +58,10 @@ void RegisterBuiltinClassifiers() {
         [] { return std::make_unique<EcecRatioTrigger>(); });
     Add(triggers, "teaser-gate",
         [] { return std::make_unique<TeaserGateTrigger>(); });
-    Add(triggers, "eco-cost", [] { return std::make_unique<EcoCostTrigger>(); });
-    Add(triggers, "ects-mpl", [] { return std::make_unique<EctsMplTrigger>(); });
+    Add(triggers, "eco-cost",
+        [] { return std::make_unique<EcoCostTrigger>(); });
+    Add(triggers, "ects-mpl",
+        [] { return std::make_unique<EctsMplTrigger>(); });
     Add(triggers, "strut-search",
         [] { return std::make_unique<StrutTrigger>(); });
     Add(triggers, "strut-grid", [] {
@@ -93,17 +96,12 @@ void RegisterBuiltinClassifiers() {
     auto& registry = ClassifierRegistry::Global();
     Add(registry, "edsc", [] { return std::make_unique<EdscClassifier>(); });
     for (const Alias& alias : kAliases) {
-      ETSC_CHECK(registry
-                     .Register(
-                         alias.name,
-                         [alias] {
-                           auto model =
-                               MakeComposedFromSpec(alias.spec, alias.display);
-                           ETSC_CHECK(model.ok());
-                           return std::move(*model);
-                         },
-                         alias.spec)
-                     .ok());
+      auto factory = [alias] {
+        auto model = MakeComposedFromSpec(alias.spec, alias.display);
+        ETSC_CHECK(model.ok());
+        return std::move(*model);
+      };
+      ETSC_CHECK(registry.Register(alias.name, factory, alias.spec).ok());
     }
     return true;
   }();

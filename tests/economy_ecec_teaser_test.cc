@@ -75,10 +75,10 @@ TEST(EconomyK, HighTimeCostForcesEarlyDecisions) {
   ASSERT_TRUE(hasty->Fit(d).ok());
   double patient_prefix = 0, hasty_prefix = 0;
   for (size_t i = 0; i < d.size(); ++i) {
-    patient_prefix +=
-        static_cast<double>(patient->PredictEarly(d.instance(i))->prefix_length);
-    hasty_prefix +=
-        static_cast<double>(hasty->PredictEarly(d.instance(i))->prefix_length);
+    patient_prefix += static_cast<double>(
+        patient->PredictEarly(d.instance(i))->prefix_length);
+    hasty_prefix += static_cast<double>(
+        hasty->PredictEarly(d.instance(i))->prefix_length);
   }
   EXPECT_LE(hasty_prefix, patient_prefix);
 }
@@ -122,10 +122,10 @@ TEST(Ecec, AlphaShiftsEarliness) {
   ASSERT_TRUE(hasty->Fit(d).ok());
   double patient_prefix = 0, hasty_prefix = 0;
   for (size_t i = 0; i < d.size(); ++i) {
-    patient_prefix +=
-        static_cast<double>(patient->PredictEarly(d.instance(i))->prefix_length);
-    hasty_prefix +=
-        static_cast<double>(hasty->PredictEarly(d.instance(i))->prefix_length);
+    patient_prefix += static_cast<double>(
+        patient->PredictEarly(d.instance(i))->prefix_length);
+    hasty_prefix += static_cast<double>(
+        hasty->PredictEarly(d.instance(i))->prefix_length);
   }
   EXPECT_LE(hasty_prefix, patient_prefix);
 }

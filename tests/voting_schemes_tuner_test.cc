@@ -142,7 +142,8 @@ TEST(Tuner, PicksTheBetterCandidate) {
                     options.support = 100000;
                     options.max_merge_distance_factor = 1e-9;
                     return testing::Compose(
-                        "ECTS", nullptr, std::make_unique<EctsMplTrigger>(options));
+                        "ECTS", nullptr,
+                        std::make_unique<EctsMplTrigger>(options));
                   }});
   auto verdict = TuneEarlyClassifier(d, grid);
   ASSERT_TRUE(verdict.ok());
