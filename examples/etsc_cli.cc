@@ -1125,8 +1125,7 @@ int main(int argc, char** argv) {
   }
 
   if (args.list) {
-    // One namespace: plain algorithms, and legacy names shown as the
-    // '<base>+<trigger>' spec they alias.
+    // One namespace: plain algorithms, and aliases as name=spec.
     const auto& algorithms = etsc::ClassifierRegistry::Global();
     std::printf("algorithms:");
     for (const auto& name : algorithms.Names()) {
