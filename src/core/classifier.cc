@@ -48,7 +48,34 @@ Status LoadImpl(ClassifierT& model, const char* kind, std::istream& in) {
   return d.Leave();
 }
 
+/// The algorithm-agnostic cursor: one PredictEarly over the whole prefix per
+/// arriving point.
+class RewalkCursor final : public PredictCursor {
+ public:
+  explicit RewalkCursor(const EarlyClassifier& model) : model_(model) {}
+
+  Result<std::optional<EarlyPrediction>> Advance(
+      const TimeSeries& prefix) override {
+    ETSC_ASSIGN_OR_RETURN(EarlyPrediction pred, model_.PredictEarly(prefix));
+    // A consumption equal to the prefix means "my answer *so far*" — it may
+    // still change with more data, so only an early commitment is final.
+    if (pred.prefix_length < prefix.length()) return std::optional(pred);
+    return std::optional<EarlyPrediction>();
+  }
+
+  Result<EarlyPrediction> Finish(const TimeSeries& prefix) override {
+    return model_.PredictEarly(prefix);
+  }
+
+ private:
+  const EarlyClassifier& model_;
+};
+
 }  // namespace
+
+std::unique_ptr<PredictCursor> EarlyClassifier::NewCursor() const {
+  return std::make_unique<RewalkCursor>(*this);
+}
 
 Result<std::vector<double>> FullClassifier::PredictProba(
     const TimeSeries& series) const {

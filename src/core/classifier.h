@@ -3,6 +3,7 @@
 
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -26,6 +27,27 @@ struct EarlyPrediction {
   /// Trigger confidence in the label at the halt point (best posterior, fused
   /// confidence, ...); 1.0 for algorithms without a probabilistic notion.
   double confidence = 1.0;
+};
+
+/// Resumable early prediction over ONE growing stream (DESIGN.md sec 14).
+///
+/// Every call receives everything observed so far, and each call's prefix
+/// extends the previous call's; a cursor may keep per-stream scratch between
+/// calls, so an arriving point costs only the work that point adds instead
+/// of a fresh PredictEarly over the whole prefix. A cursor borrows the
+/// classifier that made it, which must outlive it and stay fitted.
+class PredictCursor {
+ public:
+  virtual ~PredictCursor() = default;
+
+  /// One more point arrived. Returns the decision when the classifier
+  /// commits strictly inside `prefix` (the streaming commit rule), and
+  /// std::nullopt to keep waiting. No call may follow a decision.
+  virtual Result<std::optional<EarlyPrediction>> Advance(
+      const TimeSeries& prefix) = 0;
+
+  /// End of stream: exactly PredictEarly(prefix).
+  virtual Result<EarlyPrediction> Finish(const TimeSeries& prefix) = 0;
 };
 
 /// Interface for algorithms that classify complete time-series (the paper's
@@ -103,6 +125,12 @@ class EarlyClassifier {
   /// series.length() when the algorithm had to observe everything.
   virtual Result<EarlyPrediction> PredictEarly(const TimeSeries& series) const = 0;
 
+  /// Cursor for streaming one series point by point (StreamingSession).
+  /// The default re-runs PredictEarly on the whole prefix at every Advance
+  /// and commits when the reported prefix_length falls strictly inside it;
+  /// algorithms whose checkpoint walk can resume override this.
+  virtual std::unique_ptr<PredictCursor> NewCursor() const;
+
   virtual std::string name() const = 0;
 
   virtual bool SupportsMultivariate() const = 0;
@@ -139,11 +167,12 @@ class EarlyClassifier {
   double train_budget_seconds() const { return train_budget_seconds_; }
   void set_train_budget_seconds(double seconds) { train_budget_seconds_ = seconds; }
 
-  /// Wall-clock budget in seconds for ONE PredictEarly call (default: no
-  /// limit). Implementations poll PredictDeadline() and fail with
-  /// ResourceExhausted on expiry; EvaluateSplit degrades such a miss to a
-  /// full-length wrong prediction instead of letting one slow instance stall
-  /// a campaign.
+  /// Wall-clock budget in seconds for ONE PredictEarly call, or for one
+  /// cursor Advance/Finish when streaming — the work one arriving point
+  /// adds (default: no limit). Implementations poll PredictDeadline() and
+  /// fail with ResourceExhausted on expiry; EvaluateSplit degrades such a
+  /// miss to a full-length wrong prediction instead of letting one slow
+  /// instance stall a campaign.
   double predict_budget_seconds() const { return predict_budget_seconds_; }
   void set_predict_budget_seconds(double seconds) {
     predict_budget_seconds_ = seconds;
@@ -154,8 +183,8 @@ class EarlyClassifier {
   /// Fit so every phase (preprocessing included) counts against the budget.
   Deadline TrainDeadline() const { return Deadline::After(train_budget_seconds_); }
 
-  /// Deadline covering one PredictEarly call; construct at the top of each
-  /// call.
+  /// Deadline covering one PredictEarly call (or one cursor Advance/Finish);
+  /// construct at the top of each call.
   Deadline PredictDeadline() const {
     return Deadline::After(predict_budget_seconds_);
   }
