@@ -32,6 +32,7 @@
 #include "core/parallel.h"
 #include "core/registry.h"
 #include "core/serving.h"
+#include "core/simd.h"
 #include "data/repository.h"
 
 namespace {
@@ -283,6 +284,8 @@ int WriteServingBench(const char* path) {
       "  \"sessions\": %zu,\n"
       "  \"events\": %zu,\n"
       "  \"hardware_concurrency\": %u,\n"
+      "  \"isa_compiled\": \"%s\",\n"
+      "  \"isa_active\": \"%s\",\n"
       "  \"sequential_reference_wall_s\": %.4f,\n"
       "  \"serial\": {\n"
       "    \"wall_s\": %.4f,\n"
@@ -326,7 +329,8 @@ int WriteServingBench(const char* path) {
       "  }\n"
       "}\n",
       dataset_name.c_str(), algo.c_str(), num_sessions, trace.size(),
-      std::thread::hardware_concurrency(), sequential_seconds,
+      std::thread::hardware_concurrency(), etsc::simd::CompiledIsa(),
+      etsc::simd::ActiveIsa(), sequential_seconds,
       serial.wall_seconds, serial.sessions_per_second,
       serial.ingest_per_second, serial.p50_seconds, serial.p99_seconds,
       serial.batches, pooled.wall_seconds, pooled.sessions_per_second,
