@@ -65,7 +65,9 @@ struct TriggerDecision {
 struct TriggerEvidence {
   size_t checkpoint = 0;      // index into the checkpoint grid
   size_t prefix_length = 0;   // time-points observed at this checkpoint
-  bool is_last = false;       // no later checkpoint fits this series
+  /// No later checkpoint fits this series. A streamed series goes on past
+  /// what has arrived, so there only the grid's final checkpoint is last.
+  bool is_last = false;
   size_t train_length = 0;    // training length L the grid was built over
   /// Bank prediction at this checkpoint: argmax of `posteriors` when the
   /// trigger needs_posteriors(), otherwise the bank's Predict(). Zero when
@@ -75,15 +77,18 @@ struct TriggerEvidence {
   /// does not need them or is self-contained.
   const std::vector<double>* posteriors = nullptr;
   const std::vector<int>* class_labels = nullptr;
-  /// The (preprocessed) series being classified.
+  /// The (preprocessed) series being classified, or the prefix of it
+  /// observed so far; only its first `prefix_length` points may be read.
   const TimeSeries* series = nullptr;
-  /// Prediction deadline of the enclosing PredictEarly call; triggers with
-  /// expensive per-checkpoint work must poll it.
+  /// Prediction deadline of the enclosing PredictEarly (or cursor) call;
+  /// triggers with expensive per-checkpoint work must poll it.
   const Deadline* deadline = nullptr;
 };
 
 /// Per-series mutable trigger scratch (consecutive-hit streaks, incremental
-/// 1NN distances, ...). One state lives for one PredictEarly call.
+/// 1NN distances, ...). One state lives for one checkpoint walk: one
+/// PredictEarly call, or one streamed series, whose cursor carries it from
+/// point to point.
 class TriggerState {
  public:
   virtual ~TriggerState() = default;
@@ -113,6 +118,9 @@ struct TriggerFitContext {
 ///    randomness derives from seeds in the trigger's own options.
 ///  * Decide() must be const and thread-safe across concurrent series — all
 ///    per-series scratch lives in the TriggerState.
+///  * Decide() depends only on the state and the evidence, and reads only
+///    the first prefix_length points of the series, so a walk resumed as
+///    more points arrive decides each checkpoint as a fresh walk would.
 ///  * Save/LoadState round-trip under the bumped ETSCMODL format: a loaded
 ///    trigger's Decide() is bit-identical to the instance saved.
 class Trigger {
@@ -167,7 +175,9 @@ class Trigger {
 
   /// Fallback when the checkpoint walk ended without a halt (series shorter
   /// than every checkpoint). Empty = the composition's default fallback (bank
-  /// model 0 on the full series). Self-contained triggers override this.
+  /// model 0 on the full series). Self-contained triggers override this. A
+  /// fallback consumes the whole series (prefix_length = series.length()),
+  /// so it never commits a stream early.
   virtual Result<std::optional<EarlyPrediction>> Finalize(
       const TimeSeries& series, TriggerState* state) const {
     (void)series;
