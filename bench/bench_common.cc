@@ -1,8 +1,7 @@
 #include "bench/bench_common.h"
 
 #include <algorithm>
-#include <cctype>
-#include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -24,6 +23,7 @@
 #include <thread>
 
 #include "core/counters.h"
+#include "core/env.h"
 #include "core/evaluation.h"
 #include "core/fabric.h"
 #include "core/fault.h"
@@ -31,6 +31,7 @@
 #include "core/log.h"
 #include "core/model_cache.h"
 #include "core/parallel.h"
+#include "core/record_log.h"
 #include "core/simd.h"
 #include "core/trace.h"
 
@@ -38,70 +39,17 @@ namespace etsc::bench {
 
 namespace {
 
-std::string GetEnvOr(const char* name, const std::string& fallback) {
-  const char* value = std::getenv(name);
-  return value == nullptr ? fallback : value;
-}
-
-/// True when `rest` holds only trailing whitespace after a strtod/strtoull
-/// parse — "30 " is fine, "30x" and "" (nothing parsed) are not.
-bool OnlyTrailingSpace(const char* rest) {
-  if (rest == nullptr) return false;
-  while (*rest != '\0') {
-    if (!std::isspace(static_cast<unsigned char>(*rest))) return false;
-    ++rest;
-  }
-  return true;
-}
-
-/// Validated numeric override: a value bare strtod would silently turn into
-/// 0 ("five", "", "1.5x") instead warns and keeps the default.
-double GetEnvOr(const char* name, double fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr) return fallback;
-  char* end = nullptr;
-  errno = 0;
-  const double parsed = std::strtod(value, &end);
-  if (end == value || !OnlyTrailingSpace(end) || errno == ERANGE) {
-    Logf(LogLevel::kWarn, "campaign",
-         "%s=\"%s\" is not a number; using the default (%g)", name, value,
-         fallback);
-    return fallback;
-  }
-  return parsed;
-}
-
-size_t GetEnvSizeOr(const char* name, size_t fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr) return fallback;
-  const char* p = value;
-  while (*p != '\0' && std::isspace(static_cast<unsigned char>(*p))) ++p;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long parsed = std::strtoull(p, &end, 10);
-  // strtoull wraps negatives ("-3" parses as a huge value): reject the sign.
-  if (*p == '-' || end == p || !OnlyTrailingSpace(end) || errno == ERANGE ||
-      parsed > std::numeric_limits<size_t>::max()) {
-    Logf(LogLevel::kWarn, "campaign",
-         "%s=\"%s\" is not a non-negative integer; using the default (%zu)",
-         name, value, fallback);
-    return fallback;
-  }
-  return static_cast<size_t>(parsed);
-}
-
 /// Parses "i/N" with 0 <= i < N into a shard selector.
 bool ParseShard(const std::string& spec, size_t* index, size_t* count) {
   const size_t slash = spec.find('/');
   if (slash == std::string::npos) return false;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long i = std::strtoull(spec.c_str(), &end, 10);
-  if (end != spec.c_str() + slash || errno == ERANGE) return false;
-  const char* n_begin = spec.c_str() + slash + 1;
-  errno = 0;
-  const unsigned long long n = std::strtoull(n_begin, &end, 10);
-  if (end == n_begin || !OnlyTrailingSpace(end) || errno == ERANGE) return false;
+  const std::string_view view(spec);
+  uint64_t i = 0;
+  uint64_t n = 0;
+  if (!record_log::ParseU64(view.substr(0, slash), &i) ||
+      !record_log::ParseU64(view.substr(slash + 1), &n)) {
+    return false;
+  }
   if (n == 0 || i >= n) return false;
   *index = static_cast<size_t>(i);
   *count = static_cast<size_t>(n);
@@ -128,25 +76,30 @@ const std::vector<std::string>& PaperAlgorithms() {
 
 CampaignConfig CampaignConfig::FromEnv() {
   CampaignConfig config;
-  config.height_scale = GetEnvOr("ETSC_BENCH_SCALE", config.height_scale);
-  config.folds = GetEnvSizeOr("ETSC_BENCH_FOLDS", config.folds);
-  config.train_budget_seconds =
-      GetEnvOr("ETSC_BENCH_BUDGET", config.train_budget_seconds);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  config.height_scale = env::NumberOr("campaign", "ETSC_BENCH_SCALE",
+                                      config.height_scale, 0.0, 1e6);
+  config.folds = env::IntegerOr("campaign", "ETSC_BENCH_FOLDS", config.folds,
+                                0, 1000000);
+  config.train_budget_seconds = env::NumberOr(
+      "campaign", "ETSC_BENCH_BUDGET", config.train_budget_seconds, 0.0, kInf);
   config.predict_budget_seconds =
-      GetEnvOr("ETSC_BENCH_PREDICT_BUDGET", config.predict_budget_seconds);
-  config.maritime_windows =
-      GetEnvSizeOr("ETSC_BENCH_MARITIME", config.maritime_windows);
-  config.cost_alpha = GetEnvOr("ETSC_BENCH_ALPHA", config.cost_alpha);
-  const std::string algos = GetEnvOr("ETSC_BENCH_ALGOS", "");
+      env::NumberOr("campaign", "ETSC_BENCH_PREDICT_BUDGET",
+                    config.predict_budget_seconds, 0.0, kInf);
+  config.maritime_windows = env::IntegerOr(
+      "campaign", "ETSC_BENCH_MARITIME", config.maritime_windows, 0, 1000000000);
+  config.cost_alpha =
+      env::NumberOr("campaign", "ETSC_BENCH_ALPHA", config.cost_alpha, 0.0, 1.0);
+  const std::string algos = env::StringOr("ETSC_BENCH_ALGOS", "");
   config.algorithms = algos.empty() ? PaperAlgorithms() : SplitCommas(algos);
-  const std::string datasets = GetEnvOr("ETSC_BENCH_DATASETS", "");
+  const std::string datasets = env::StringOr("ETSC_BENCH_DATASETS", "");
   config.datasets =
       datasets.empty() ? BenchmarkDatasetNames() : SplitCommas(datasets);
   config.cache_path =
-      GetEnvOr("ETSC_BENCH_CACHE", std::string("etsc_campaign_cache.csv"));
-  config.report_path = GetEnvOr("ETSC_BENCH_REPORT", std::string());
-  config.report_only = !GetEnvOr("ETSC_BENCH_REPORT_ONLY", std::string()).empty();
-  const std::string shard = GetEnvOr("ETSC_BENCH_SHARD", std::string());
+      env::StringOr("ETSC_BENCH_CACHE", "etsc_campaign_cache.csv");
+  config.report_path = env::StringOr("ETSC_BENCH_REPORT", "");
+  config.report_only = !env::StringOr("ETSC_BENCH_REPORT_ONLY", "").empty();
+  const std::string shard = env::StringOr("ETSC_BENCH_SHARD", "");
   if (!shard.empty() && !ParseShard(shard, &config.shard_index,
                                     &config.shard_count)) {
     Logf(LogLevel::kWarn, "campaign",
@@ -155,7 +108,7 @@ CampaignConfig CampaignConfig::FromEnv() {
          shard.c_str());
   }
   config.supervisor = SupervisorOptions::FromEnv();
-  config.fault_spec = GetEnvOr("ETSC_BENCH_FAULT", std::string());
+  config.fault_spec = env::StringOr("ETSC_BENCH_FAULT", "");
   return config;
 }
 
@@ -255,10 +208,6 @@ RepositoryOptions Campaign::RepoOptions() const {
 
 namespace {
 
-/// End-of-row sentinel appended as the final journal field. A row lacking it
-/// was truncated by a crash mid-write and must be skipped, not half-parsed.
-constexpr char kRowSentinel[] = ",#end";
-
 std::string Hex16(uint64_t v) {
   char buf[17];
   std::snprintf(buf, sizeof(buf), "%016llx",
@@ -294,59 +243,6 @@ Counter& CellsComputed() {
 
 }  // namespace
 
-std::string EscapeJournalField(const std::string& raw) {
-  std::string out;
-  out.reserve(raw.size());
-  for (const char c : raw) {
-    switch (c) {
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case ',':
-        out += "\\c";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
-}
-
-std::string UnescapeJournalField(const std::string& escaped) {
-  std::string out;
-  out.reserve(escaped.size());
-  for (size_t i = 0; i < escaped.size(); ++i) {
-    if (escaped[i] != '\\' || i + 1 == escaped.size()) {
-      out += escaped[i];
-      continue;
-    }
-    switch (escaped[++i]) {
-      case '\\':
-        out += '\\';
-        break;
-      case 'n':
-        out += '\n';
-        break;
-      case 'r':
-        out += '\r';
-        break;
-      case 'c':
-        out += ',';
-        break;
-      default:
-        out += '\\';
-        out += escaped[i];
-    }
-  }
-  return out;
-}
-
 Result<std::string> JournalHeaderForConfig(const CampaignConfig& config) {
   RepositoryOptions repo;
   repo.seed = config.seed;
@@ -368,78 +264,65 @@ Result<std::string> JournalHeaderForConfig(const CampaignConfig& config) {
          " data=" + Hex16(CombineDataFingerprints(fingerprints));
 }
 
+namespace {
+
+double ParseDoubleField(std::string_view field) {
+  double value = 0.0;
+  std::from_chars(field.data(), field.data() + field.size(), value);
+  return value;
+}
+
+/// Parses one unsealed cell row; false when it has too few fields.
+bool ParseJournalRow(std::string_view row, CampaignCell* cell) {
+  const std::vector<std::string_view> f = record_log::SplitFields(row);
+  if (f.size() < 11) return false;
+  cell->algorithm = f[0];
+  cell->dataset = f[1];
+  cell->trained = f[2] == "1";
+  cell->accuracy = ParseDoubleField(f[3]);
+  cell->f1 = ParseDoubleField(f[4]);
+  cell->earliness = ParseDoubleField(f[5]);
+  cell->harmonic_mean = ParseDoubleField(f[6]);
+  cell->train_seconds = ParseDoubleField(f[7]);
+  cell->test_seconds_per_instance = ParseDoubleField(f[8]);
+  std::from_chars(f[9].data(), f[9].data() + f[9].size(), cell->retries);
+  cell->quarantined = f[10] == "1";
+  if (f.size() > 11) cell->failure = record_log::UnescapeField(f[11]);
+  return true;
+}
+
+}  // namespace
+
 Status Campaign::LoadCache(const std::string& expected_header) {
-  cache_state_ = CacheState::kMissing;
-  std::ifstream in(config_.cache_path);
-  if (!in) return Status::OK();
-  std::string line;
-  if (!std::getline(in, line) || line != expected_header) {
-    // A journal claiming a NEWER format version is not "stale" — it is the
-    // product of a newer build and may contain row kinds this binary would
-    // misparse (e.g. control rows it does not know). Rotating it aside would
-    // silently discard someone's results; refuse with marching orders.
-    const int theirs = fabric::HeaderVersion(line);
-    if (theirs > kJournalFormatVersion) {
-      return Status::FailedPrecondition(
-          "cache " + config_.cache_path + " was written by a newer build "
-          "(journal format v" + std::to_string(theirs) +
-          ", this binary reads up to v" +
-          std::to_string(kJournalFormatVersion) +
-          "): upgrade the binary, or delete/move the journal to recompute");
-    }
+  journal_stale_ = false;
+  record_log::Reader log(config_.cache_path);
+  // A journal claiming a NEWER format version is refused, not rotated: it may
+  // hold row kinds this binary would misparse.
+  ETSC_ASSIGN_OR_RETURN(const record_log::HeaderMatch header,
+                        log.CheckHeader(expected_header));
+  if (header == record_log::HeaderMatch::kForeign) {
     // Journal from another configuration (or a header truncated mid-write):
     // its rows must never be mixed with this config's. AppendCache rotates
     // the file aside before the first new row.
-    cache_state_ = CacheState::kStale;
+    journal_stale_ = true;
     Logf(LogLevel::kWarn, "campaign",
          "cache %s has a different fingerprint; it will be rotated to "
          "%s.stale before new results are journalled",
          config_.cache_path.c_str(), config_.cache_path.c_str());
     return Status::OK();
   }
-  cache_state_ = CacheState::kLoaded;
-  size_t skipped = 0;
   size_t duplicates = 0;
   // (algorithm, dataset) -> index into cells_. An interrupted-then-resumed
   // campaign can journal the same cell twice; the LAST row (the freshest
   // result) must win, or Find() would pin lookups to the oldest row forever.
   std::map<std::pair<std::string, std::string>, size_t> index;
-  while (std::getline(in, line)) {
-    const size_t sentinel_len = sizeof(kRowSentinel) - 1;
-    if (!line.empty() && line[0] == '@') {
+  std::string_view row;
+  while (log.Next(&row)) {
+    if (row.empty() || row[0] == '@') {
       continue;  // worker-fabric control row (lease / quarantine broadcast)
     }
-    if (line.size() < sentinel_len ||
-        line.compare(line.size() - sentinel_len, sentinel_len, kRowSentinel) !=
-            0) {
-      ++skipped;  // truncated by a mid-write crash; recomputed this run
-      continue;
-    }
-    line.resize(line.size() - sentinel_len);
-    std::stringstream ss(line);
     CampaignCell cell;
-    std::string trained, field;
-    if (!std::getline(ss, cell.algorithm, ',')) continue;
-    if (!std::getline(ss, cell.dataset, ',')) continue;
-    if (!std::getline(ss, trained, ',')) continue;
-    cell.trained = trained == "1";
-    auto read_double = [&](double* out) {
-      if (!std::getline(ss, field, ',')) return false;
-      *out = std::strtod(field.c_str(), nullptr);
-      return true;
-    };
-    if (!read_double(&cell.accuracy)) continue;
-    if (!read_double(&cell.f1)) continue;
-    if (!read_double(&cell.earliness)) continue;
-    if (!read_double(&cell.harmonic_mean)) continue;
-    if (!read_double(&cell.train_seconds)) continue;
-    if (!read_double(&cell.test_seconds_per_instance)) continue;
-    if (!std::getline(ss, field, ',')) continue;
-    cell.retries = static_cast<int>(std::strtol(field.c_str(), nullptr, 10));
-    if (!std::getline(ss, field, ',')) continue;
-    cell.quarantined = field == "1";
-    std::getline(ss, cell.failure);
-    cell.failure = UnescapeJournalField(cell.failure);
+    if (!ParseJournalRow(row, &cell)) continue;
     const auto [it, inserted] =
         index.emplace(std::make_pair(cell.algorithm, cell.dataset),
                       cells_.size());
@@ -450,11 +333,11 @@ Status Campaign::LoadCache(const std::string& expected_header) {
       cells_[it->second] = std::move(cell);
     }
   }
-  if (skipped > 0) {
+  if (log.torn_rows() > 0) {
     Logf(LogLevel::kWarn, "campaign",
          "cache %s: skipped %zu truncated row(s) from an interrupted write; "
          "the cells will be recomputed",
-         config_.cache_path.c_str(), skipped);
+         config_.cache_path.c_str(), log.torn_rows());
   }
   if (duplicates > 0) {
     Logf(LogLevel::kWarn, "campaign",
@@ -470,55 +353,29 @@ std::string FormatJournalRow(const CampaignCell& cell) {
   // max_digits10 so a resumed campaign reloads bit-identical scores.
   out << std::setprecision(std::numeric_limits<double>::max_digits10);
   // The failure field is free-form text from a Status message: escaped so a
-  // newline cannot tear the row and an embedded ",#end" cannot forge the
-  // sentinel (every comma is escaped, and the sentinel starts with one).
+  // newline cannot tear the row and an embedded seal cannot be forged.
   out << cell.algorithm << ',' << cell.dataset << ',' << (cell.trained ? 1 : 0)
       << ',' << cell.accuracy << ',' << cell.f1 << ',' << cell.earliness << ','
       << cell.harmonic_mean << ',' << cell.train_seconds << ','
       << cell.test_seconds_per_instance << ',' << cell.retries << ','
       << (cell.quarantined ? 1 : 0) << ','
-      << EscapeJournalField(cell.failure) << kRowSentinel;
-  return out.str();
+      << record_log::EscapeField(cell.failure);
+  return record_log::Seal(out.str());
 }
 
-void Campaign::AppendCache(const CampaignCell& cell) {
+Status Campaign::AppendCache(const CampaignCell& cell) {
   TraceSpan span("campaign", "journal_append");
   if (MetricsEnabled()) JournalAppends().Add(1);
-  if (cache_state_ == CacheState::kStale) {
+  if (journal_stale_) {
     // Appending under a foreign header would make these rows silently
     // unloadable forever; move the old journal out of the way first.
-    const std::string stale_path = config_.cache_path + ".stale";
-    std::remove(stale_path.c_str());
-    if (std::rename(config_.cache_path.c_str(), stale_path.c_str()) != 0) {
-      // Rotation failed (e.g. cross-device): truncating is still safe — the
-      // old rows were unloadable under this config anyway.
-      std::ofstream(config_.cache_path, std::ios::trunc);
-    }
-    cache_state_ = CacheState::kMissing;
+    ETSC_RETURN_NOT_OK(record_log::RotateToStale(config_.cache_path));
+    journal_stale_ = false;
   }
-  // A crash can leave the journal without a trailing newline; appending right
-  // after the torn bytes would merge two rows into one sentinel-terminated,
-  // silently corrupt line. Start on a fresh line instead — the torn fragment
-  // then stays its own sentinel-less line, which the next load discards.
-  bool needs_newline = false;
-  {
-    std::ifstream existing(config_.cache_path, std::ios::binary);
-    if (existing && existing.seekg(-1, std::ios::end)) {
-      char last = '\n';
-      needs_newline = existing.get(last) && last != '\n';
-    }
-  }
-  std::ofstream out(config_.cache_path, std::ios::app);
-  if (!out) return;
-  if (needs_newline) out << "\n";
-  if (cache_state_ == CacheState::kMissing) {
-    out << journal_header_ << "\n";
-    cache_state_ = CacheState::kLoaded;
-  }
-  out << FormatJournalRow(cell) << "\n";
-  // One cell can take hours; flush so a later crash costs at most the row
-  // being written, which the sentinel check then discards.
-  out.flush();
+  // One cell can take hours; the row is flushed so a later crash costs at
+  // most the row being written, which readers then skip as torn.
+  return record_log::AppendOnce(config_.cache_path, journal_header_,
+                                FormatJournalRow(cell));
 }
 
 const CampaignCell* Campaign::Find(const std::string& algorithm,
@@ -753,7 +610,7 @@ Status Campaign::Run() {
                              .ToString();
           {
             std::lock_guard<std::mutex> lock(journal_mu_);
-            AppendCache(cell);
+            ETSC_RETURN_NOT_OK(AppendCache(cell));
           }
           Logf(LogLevel::kWarn, "campaign", "  %s on %s: %s",
                job.algorithm.c_str(), dataset_name.c_str(),
@@ -806,7 +663,7 @@ Status Campaign::Run() {
           // The journal is shared by all cells; the lock keeps each flushed
           // row whole so a reload never sees interleaved fragments.
           std::lock_guard<std::mutex> lock(journal_mu_);
-          AppendCache(cell);
+          ETSC_RETURN_NOT_OK(AppendCache(cell));
         }
         Logf(LogLevel::kInfo, "campaign", "  %s on %s: %s",
              job.algorithm.c_str(), dataset_name.c_str(),
@@ -816,10 +673,13 @@ Status Campaign::Run() {
       return Status::OK();
     });
   }
+  // A lane stops at its first journal error: a cell that cannot be journalled
+  // is not resumable, so the campaign must not finish as if it were.
   const Status status = group.Wait();
   if (!status.ok()) {
-    Logf(LogLevel::kError, "campaign", "cell task failed: %s",
+    Logf(LogLevel::kError, "campaign", "journal append failed: %s",
          status.ToString().c_str());
+    return status;
   }
   stats.compute_seconds = phase.Seconds();
 
@@ -1060,51 +920,41 @@ Result<MergeSummary> MergeShardJournals(const std::string& out_path,
   MergeSummary summary;
   std::map<std::pair<std::string, std::string>, std::string> rows;
   std::vector<std::pair<std::string, std::string>> order;
-  const size_t sentinel_len = sizeof(kRowSentinel) - 1;
   for (const auto& path : inputs) {
-    std::ifstream in(path);
-    if (!in) return Status::IOError("cannot read shard journal " + path);
-    std::string line;
-    if (!std::getline(in, line) || line.rfind("# ", 0) != 0) {
+    record_log::Reader log(path);
+    if (!log.exists()) {
+      return Status::IOError("cannot read shard journal " + path);
+    }
+    ETSC_ASSIGN_OR_RETURN(const record_log::HeaderMatch header,
+                          log.CheckHeader(expected_header));
+    if (header == record_log::HeaderMatch::kEmpty) {
       return Status::DataLoss(path + ": missing journal header line");
     }
-    if (line != expected_header) {
-      const int theirs = fabric::HeaderVersion(line);
-      if (theirs > kJournalFormatVersion) {
-        return Status::FailedPrecondition(
-            path + " was written by a newer build (journal format v" +
-            std::to_string(theirs) + ", this binary reads up to v" +
-            std::to_string(kJournalFormatVersion) + "): upgrade the binary");
-      }
+    if (header == record_log::HeaderMatch::kForeign) {
       // Refuse rather than guess: shards from different configs or different
       // generated data must never be blended into one report. Name both
       // fingerprints so the operator can see exactly what disagrees.
       return Status::FailedPrecondition(
           path + " was written under a different campaign identity — "
-          "refusing to interleave mismatched shards:\n  journal:  " + line +
-          "\n  expected: " + expected_header);
+          "refusing to interleave mismatched shards:\n  journal:  " +
+          log.header() + "\n  expected: " + expected_header);
     }
-    while (std::getline(in, line)) {
-      if (!line.empty() && line[0] == '@') {
+    std::string_view row;
+    while (log.Next(&row)) {  // torn rows are dropped, as LoadCache does
+      if (!row.empty() && row[0] == '@') {
         ++summary.control_rows;  // lease/quarantine rows end with the merge
         continue;
       }
-      if (line.size() < sentinel_len ||
-          line.compare(line.size() - sentinel_len, sentinel_len,
-                       kRowSentinel) != 0) {
-        continue;  // truncated by a mid-write crash; drop like LoadCache does
-      }
-      const size_t c1 = line.find(',');
-      if (c1 == std::string::npos) continue;
-      const size_t c2 = line.find(',', c1 + 1);
-      if (c2 == std::string::npos) continue;
-      auto key = std::make_pair(line.substr(0, c1),
-                                line.substr(c1 + 1, c2 - c1 - 1));
+      const std::vector<std::string_view> fields =
+          record_log::SplitFields(row);
+      if (fields.size() < 2) continue;
+      auto key = std::make_pair(std::string(fields[0]), std::string(fields[1]));
+      std::string line = record_log::Seal(std::string(row));
       const auto [it, inserted] = rows.emplace(key, line);
       if (inserted) {
         order.push_back(key);
       } else {
-        it->second = line;  // resumed shard: the freshest row wins
+        it->second = std::move(line);  // resumed shard: the freshest row wins
       }
     }
   }

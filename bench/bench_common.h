@@ -136,20 +136,10 @@ inline constexpr int kJournalFormatVersion = 4;
 /// inputs. Fails when no configured dataset can be generated.
 Result<std::string> JournalHeaderForConfig(const CampaignConfig& config);
 
-/// Escapes one journal field for single-line CSV storage: backslash, newline,
-/// carriage return, and comma become two-character backslash sequences. With
-/// every comma escaped, an arbitrary failure message can neither tear a row
-/// across lines nor forge the `,#end` end-of-row sentinel.
-std::string EscapeJournalField(const std::string& raw);
-
-/// Inverse of EscapeJournalField; unknown escape sequences pass through
-/// verbatim (forward compatibility with journals written by newer builds).
-std::string UnescapeJournalField(const std::string& escaped);
-
 struct CampaignCell;
 
-/// Serialises one cell as a journal row (sentinel-terminated, no trailing
-/// newline) with max_digits10 floats — the single row format shared by the
+/// Serialises one cell as a sealed journal row (core/record_log.h; no
+/// trailing newline, failure text escaped) with max_digits10 floats — the single row format shared by the
 /// single-process journal writer, the worker fabric, and the shard merge,
 /// which is what makes their journals byte-comparable.
 std::string FormatJournalRow(const CampaignCell& cell);
@@ -254,8 +244,10 @@ class Campaign {
   /// (core/log.h, ETSC_LOG); a machine-readable JSON report — config, cells,
   /// failures, per-phase timings, and a metric-registry snapshot — is written
   /// to ReportPath() at the end of every run, including report-only and
-  /// fully-cached ones. Fails only on setup errors (e.g. a journal written
-  /// by a newer build); cell failures are first-class rows, not errors.
+  /// fully-cached ones. Fails on setup errors (e.g. a journal written by a
+  /// newer build) and on the first journal append that fails (the campaign
+  /// would not be resumable); cell failures are first-class rows, not
+  /// errors.
   Status Run();
 
   /// Runs this campaign as one worker of a multi-process fabric: cells are
@@ -296,13 +288,6 @@ class Campaign {
                       double (*extract)(const CampaignCell&)) const;
 
  private:
-  /// Freshness of the on-disk journal relative to this config.
-  enum class CacheState {
-    kMissing,  // no file: first append writes the fingerprint header
-    kLoaded,   // fingerprint matched: appends go under the existing header
-    kStale,    // fingerprint mismatched: rotate aside before first append
-  };
-
   /// Wall-clock phase timings and cell counts of one Run(), for the report.
   struct RunStats {
     double load_cache_seconds = 0.0;
@@ -323,16 +308,19 @@ class Campaign {
   /// phase 1 of Run() and RunWorker(). Appends the generated benchmarks to
   /// `benchmarks`; fails when not a single dataset could be generated.
   Status GenerateDatasets(std::vector<BenchmarkDataset>* benchmarks);
-  /// Requires journal_mu_ when cells complete concurrently: a row must hit
-  /// the file whole (header decision, fresh-line check, write, flush).
-  void AppendCache(const CampaignCell& cell);
+  /// Journals one cell (rotating a stale journal aside first). Requires
+  /// journal_mu_ when cells complete concurrently: a row must hit the file
+  /// whole (header decision, fresh-line check, write, flush).
+  Status AppendCache(const CampaignCell& cell);
   void WriteReport(const RunStats& stats) const;
   RepositoryOptions RepoOptions() const;
 
   CampaignConfig config_;
   std::vector<CampaignCell> cells_;
   std::vector<DatasetProfile> profiles_;
-  CacheState cache_state_ = CacheState::kMissing;
+  /// The journal on disk has another fingerprint: rotate it aside before
+  /// the first append.
+  bool journal_stale_ = false;
   /// Header of the journal this run writes/expects (config fingerprint +
   /// combined dataset fingerprint); set by Run() after dataset generation.
   std::string journal_header_;

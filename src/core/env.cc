@@ -2,7 +2,6 @@
 
 #include <cctype>
 #include <cerrno>
-#include <cmath>
 #include <cstdlib>
 
 #include "core/log.h"
@@ -31,10 +30,32 @@ double NumberOr(const char* subsystem, const char* name, double fallback,
   errno = 0;
   const double parsed = std::strtod(raw, &end);
   if (end == raw || !OnlyTrailingSpace(end) || errno == ERANGE ||
-      !std::isfinite(parsed) || !(parsed >= lo) || !(parsed <= hi)) {
+      !(parsed >= lo) || !(parsed <= hi)) {
     Logf(LogLevel::kWarn, subsystem,
          "ignoring invalid %s='%s' (want a number in [%g, %g])", name, raw,
          lo, hi);
+    return fallback;
+  }
+  return parsed;
+}
+
+int64_t IntegerOr(const char* subsystem, const char* name, int64_t fallback,
+                  int64_t lo, int64_t hi) {
+  const char* raw = std::getenv(name);
+  if (raw == nullptr || *raw == '\0') return fallback;
+  const char* digits = raw;
+  while (std::isspace(static_cast<unsigned char>(*digits))) ++digits;
+  char* end = nullptr;
+  errno = 0;
+  // strtoll alone would accept a sign and stop at a fraction's '.'.
+  const long long parsed = std::isdigit(static_cast<unsigned char>(*digits))
+                               ? std::strtoll(digits, &end, 10)
+                               : 0;
+  if (end == nullptr || !OnlyTrailingSpace(end) || errno == ERANGE ||
+      parsed < lo || parsed > hi) {
+    Logf(LogLevel::kWarn, subsystem,
+         "ignoring invalid %s='%s' (want an integer in [%lld, %lld])", name,
+         raw, static_cast<long long>(lo), static_cast<long long>(hi));
     return fallback;
   }
   return parsed;

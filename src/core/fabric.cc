@@ -6,25 +6,18 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cctype>
-#include <cerrno>
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <map>
-#include <sstream>
 #include <utility>
 
 #include "core/counters.h"
+#include "core/env.h"
 #include "core/log.h"
+#include "core/record_log.h"
 
 namespace etsc::fabric {
 
 namespace {
 
-constexpr char kRowSentinel[] = ",#end";
-constexpr size_t kSentinelLen = sizeof(kRowSentinel) - 1;
 constexpr char kLeaseTag[] = "@lease";
 constexpr char kQuarantineTag[] = "@quarantine";
 
@@ -56,55 +49,22 @@ Counter& QuarantinesPublished() {
   return c;
 }
 
-/// True when `rest` holds only trailing whitespace after a strtod parse.
-bool OnlyTrailingSpace(const char* rest) {
-  if (rest == nullptr) return false;
-  while (*rest != '\0') {
-    if (!std::isspace(static_cast<unsigned char>(*rest))) return false;
-    ++rest;
+/// Parses the fields of one control row (its first field starts with '@');
+/// kind stays kNone for a malformed one.
+ControlRow ParseControlFields(const std::vector<std::string_view>& fields) {
+  ControlRow out;
+  if (fields.size() == 5 && fields[0] == kLeaseTag) {
+    if (!record_log::ParseU64(fields[4], &out.lease.expiry_ms)) return out;
+    out.kind = ControlRowKind::kLease;
+    out.lease.algorithm = fields[1];
+    out.lease.dataset = fields[2];
+    out.lease.owner = fields[3];
+  } else if (fields.size() == 3 && fields[0] == kQuarantineTag) {
+    out.kind = ControlRowKind::kQuarantine;
+    out.quarantine.algorithm = fields[1];
+    out.quarantine.owner = fields[2];
   }
-  return true;
-}
-
-/// Validated positive-double override, matching the campaign env idiom:
-/// garbage or non-positive values warn and keep the default.
-double GetEnvPositiveOr(const char* name, double fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr) return fallback;
-  char* end = nullptr;
-  errno = 0;
-  const double parsed = std::strtod(value, &end);
-  if (end == value || !OnlyTrailingSpace(end) || errno == ERANGE ||
-      !(parsed > 0.0)) {
-    Logf(LogLevel::kWarn, "fabric",
-         "%s=\"%s\" is not a positive number; using the default (%g)", name,
-         value, fallback);
-    return fallback;
-  }
-  return parsed;
-}
-
-/// Splits a sentinel-stripped line on raw commas. Safe for journal rows:
-/// every comma inside a free-form field is escaped (bench EscapeJournalField),
-/// so raw commas are always field separators.
-std::vector<std::string> SplitFields(const std::string& line) {
-  std::vector<std::string> fields;
-  std::stringstream ss(line);
-  std::string field;
-  while (std::getline(ss, field, ',')) fields.push_back(field);
-  if (!line.empty() && line.back() == ',') fields.emplace_back();
-  return fields;
-}
-
-bool ParseExpiry(const std::string& field, uint64_t* out) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long parsed = std::strtoull(field.c_str(), &end, 10);
-  if (end == field.c_str() || !OnlyTrailingSpace(end) || errno == ERANGE) {
-    return false;
-  }
-  *out = static_cast<uint64_t>(parsed);
-  return true;
+  return out;
 }
 
 }  // namespace
@@ -121,9 +81,10 @@ uint64_t MonotonicMs() {
 
 LeaseOptions LeaseOptions::FromEnv() {
   LeaseOptions options;
-  options.ttl_ms = GetEnvPositiveOr("ETSC_LEASE_TTL_MS", options.ttl_ms);
-  options.heartbeat_ms =
-      GetEnvPositiveOr("ETSC_HEARTBEAT_MS", options.heartbeat_ms);
+  options.ttl_ms =
+      env::NumberOr("fabric", "ETSC_LEASE_TTL_MS", options.ttl_ms, 1e-3, 1e12);
+  options.heartbeat_ms = env::NumberOr("fabric", "ETSC_HEARTBEAT_MS",
+                                       options.heartbeat_ms, 1e-3, 1e12);
   if (options.heartbeat_ms >= options.ttl_ms) {
     const double clamped = options.ttl_ms / 4.0;
     Logf(LogLevel::kWarn, "fabric",
@@ -136,56 +97,20 @@ LeaseOptions LeaseOptions::FromEnv() {
 }
 
 std::string FormatLeaseRow(const LeaseRow& row) {
-  std::ostringstream out;
-  out << kLeaseTag << ',' << row.algorithm << ',' << row.dataset << ','
-      << row.owner << ',' << row.expiry_ms << kRowSentinel;
-  return out.str();
+  return record_log::Seal(std::string(kLeaseTag) + ',' + row.algorithm + ',' +
+                          row.dataset + ',' + row.owner + ',' +
+                          std::to_string(row.expiry_ms));
 }
 
 std::string FormatQuarantineRow(const QuarantineRow& row) {
-  std::ostringstream out;
-  out << kQuarantineTag << ',' << row.algorithm << ',' << row.owner
-      << kRowSentinel;
-  return out.str();
+  return record_log::Seal(std::string(kQuarantineTag) + ',' + row.algorithm +
+                          ',' + row.owner);
 }
 
-ControlRow ParseControlRow(const std::string& line) {
-  ControlRow out;
-  if (line.empty() || line[0] != '@') return out;
-  if (line.size() < kSentinelLen ||
-      line.compare(line.size() - kSentinelLen, kSentinelLen, kRowSentinel) !=
-          0) {
-    return out;  // torn by a mid-write crash: skip, never half-parse
-  }
-  const std::vector<std::string> fields =
-      SplitFields(line.substr(0, line.size() - kSentinelLen));
-  if (fields.size() == 5 && fields[0] == kLeaseTag) {
-    LeaseRow lease;
-    lease.algorithm = fields[1];
-    lease.dataset = fields[2];
-    lease.owner = fields[3];
-    if (!ParseExpiry(fields[4], &lease.expiry_ms)) return out;
-    out.kind = ControlRowKind::kLease;
-    out.lease = std::move(lease);
-    return out;
-  }
-  if (fields.size() == 3 && fields[0] == kQuarantineTag) {
-    out.kind = ControlRowKind::kQuarantine;
-    out.quarantine.algorithm = fields[1];
-    out.quarantine.owner = fields[2];
-    return out;
-  }
-  return out;
-}
-
-int HeaderVersion(const std::string& header_line) {
-  // "# v<digits>" prefix; anything else reads as version 0 (unversioned).
-  if (header_line.rfind("# v", 0) != 0) return 0;
-  const char* digits = header_line.c_str() + 3;
-  char* end = nullptr;
-  const long parsed = std::strtol(digits, &end, 10);
-  if (end == digits || parsed <= 0 || parsed > 1000000) return 0;
-  return static_cast<int>(parsed);
+ControlRow ParseControlRow(std::string_view line) {
+  const auto row = record_log::Unseal(line);
+  if (!row || row->empty() || row->front() != '@') return ControlRow();
+  return ParseControlFields(record_log::SplitFields(*row));
 }
 
 FileLock::FileLock(const std::string& path) {
@@ -209,10 +134,15 @@ FileLock::~FileLock() {
 LeaseTable::LeaseTable(const std::vector<GridCell>& grid)
     : grid_(grid), statuses_(grid.size()) {}
 
-void LeaseTable::ApplyLine(const std::string& line) {
-  if (line.empty()) return;
-  if (line[0] == '@') {
-    const ControlRow control = ParseControlRow(line);
+void LeaseTable::ApplyLine(std::string_view line) {
+  // Unsealed lines (the header, torn rows) carry nothing.
+  if (const auto row = record_log::Unseal(line)) ApplyRow(*row);
+}
+
+void LeaseTable::ApplyRow(std::string_view row) {
+  const std::vector<std::string_view> fields = record_log::SplitFields(row);
+  if (!fields[0].empty() && fields[0][0] == '@') {
+    const ControlRow control = ParseControlFields(fields);
     if (control.kind == ControlRowKind::kQuarantine) {
       quarantined_algorithms_.insert(control.quarantine.algorithm);
       return;
@@ -228,14 +158,6 @@ void LeaseTable::ApplyLine(const std::string& line) {
     }
     return;
   }
-  if (line[0] == '#') return;  // header
-  if (line.size() < kSentinelLen ||
-      line.compare(line.size() - kSentinelLen, kSentinelLen, kRowSentinel) !=
-          0) {
-    return;  // torn cell row
-  }
-  const std::vector<std::string> fields =
-      SplitFields(line.substr(0, line.size() - kSentinelLen));
   // algorithm,dataset,trained,acc,f1,earl,hm,train_s,test_s,retries,
   // quarantined,failure — the bench journal row layout.
   if (fields.size() < 11) return;
@@ -300,25 +222,9 @@ WorkerJournal::WorkerJournal(std::string path, std::string expected_header,
       grid_(std::move(grid)),
       options_(options) {}
 
-Status WorkerJournal::AppendLocked(const std::string& line) const {
-  // A crashed writer can leave the file without a trailing newline; starting
-  // on a fresh line keeps the torn fragment its own sentinel-less line,
-  // which every scanner discards (same discipline as Campaign::AppendCache).
-  bool needs_newline = false;
-  {
-    std::ifstream existing(path_, std::ios::binary);
-    if (existing && existing.seekg(-1, std::ios::end)) {
-      char last = '\n';
-      needs_newline = existing.get(last) && last != '\n';
-    }
-  }
-  std::ofstream out(path_, std::ios::app);
-  if (!out) return Status::IOError("fabric: cannot append to " + path_);
-  if (needs_newline) out << "\n";
-  out << line << "\n";
-  out.flush();
-  if (!out) return Status::IOError("fabric: short write to " + path_);
-  return Status::OK();
+Status WorkerJournal::AppendLocked(const std::string& row) const {
+  // Reopened per append: another worker may have died mid-row since.
+  return record_log::AppendOnce(path_, expected_header_, row);
 }
 
 Status WorkerJournal::EnsureHeader() {
@@ -326,52 +232,35 @@ Status WorkerJournal::EnsureHeader() {
   if (!lock.ok()) {
     return Status::IOError("fabric: cannot lock " + lock_path_);
   }
-  std::string first_line;
-  bool have_file = false;
-  {
-    std::ifstream in(path_);
-    have_file = static_cast<bool>(in) && std::getline(in, first_line);
+  ETSC_ASSIGN_OR_RETURN(const record_log::HeaderMatch match,
+                        record_log::Reader(path_).CheckHeader(expected_header_));
+  if (match == record_log::HeaderMatch::kMatch) return Status::OK();
+  if (match == record_log::HeaderMatch::kForeign) {
+    // Same discipline as the single-process campaign: a journal from another
+    // config is rotated aside, never appended to.
+    ETSC_RETURN_NOT_OK(record_log::RotateToStale(path_));
+    Logf(LogLevel::kWarn, "fabric",
+         "journal %s has a different fingerprint; rotated to %s.stale",
+         path_.c_str(), path_.c_str());
   }
-  if (!have_file || first_line.empty()) {
-    return AppendLocked(expected_header_);
-  }
-  if (first_line == expected_header_) return Status::OK();
-  const int theirs = HeaderVersion(first_line);
-  const int mine = HeaderVersion(expected_header_);
-  if (mine > 0 && theirs > mine) {
-    return Status::FailedPrecondition(
-        "journal " + path_ + " was written by a newer build (format v" +
-        std::to_string(theirs) + ", this binary writes v" +
-        std::to_string(mine) +
-        "): upgrade the binary or point the worker at a fresh journal");
-  }
-  // Same discipline as the single-process campaign: a journal from another
-  // config is rotated aside, never appended to.
-  const std::string stale_path = path_ + ".stale";
-  std::remove(stale_path.c_str());
-  if (std::rename(path_.c_str(), stale_path.c_str()) != 0) {
-    std::ofstream(path_, std::ios::trunc);
-  }
-  Logf(LogLevel::kWarn, "fabric",
-       "journal %s has a different fingerprint; rotated to %s", path_.c_str(),
-       stale_path.c_str());
-  return AppendLocked(expected_header_);
+  record_log::Appender create;
+  return create.Open(path_, expected_header_);
 }
 
 Result<LeaseTable> WorkerJournal::ScanLocked() const {
-  std::ifstream in(path_);
-  if (!in) {
+  record_log::Reader log(path_);
+  if (!log.exists()) {
     return Status::IOError("fabric: cannot read journal " + path_ +
                            " (EnsureHeader not run?)");
   }
-  std::string line;
-  if (!std::getline(in, line) || line != expected_header_) {
+  if (log.header() != expected_header_) {
     return Status::FailedPrecondition(
         "fabric: journal " + path_ + " header changed underneath this worker:"
-        "\n  journal:  " + line + "\n  expected: " + expected_header_);
+        "\n  journal:  " + log.header() + "\n  expected: " + expected_header_);
   }
   LeaseTable table(grid_);
-  while (std::getline(in, line)) table.ApplyLine(line);
+  std::string_view row;
+  while (log.Next(&row)) table.ApplyRow(row);
   return table;
 }
 

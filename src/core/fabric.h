@@ -8,6 +8,7 @@
 #include <mutex>
 #include <set>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -18,10 +19,10 @@ namespace etsc::fabric {
 /// Multi-worker campaign fabric: the crash-safe campaign journal doubles as a
 /// durable lease-based work queue shared by N worker processes.
 ///
-/// Protocol. The journal stays an append-only text file whose first line is
-/// the campaign header and whose cell rows end with the `,#end` sentinel
-/// (bench/bench_common.h). Workers additionally append CONTROL rows — lines
-/// starting with '@', also sentinel-terminated, which result readers skip:
+/// Protocol. The journal stays an append-only record log (core/record_log.h)
+/// whose header is the campaign's and whose rows are cell results
+/// (bench/bench_common.h). Workers additionally append CONTROL rows — rows
+/// starting with '@', which result readers skip:
 ///
 ///   @lease,<algorithm>,<dataset>,<owner>,<expiry_ms>,#end
 ///   @quarantine,<algorithm>,<owner>,#end
@@ -43,8 +44,8 @@ namespace etsc::fabric {
 /// the same quarantine decisions bit-for-bit. A `@quarantine` row published
 /// by the worker that trips the breaker stops the other workers immediately.
 ///
-/// Crash safety. All appends inherit the sentinel discipline: a torn control
-/// row is ignored by every reader; a worker killed mid-cell leaves only a
+/// Crash safety. All appends inherit the record-log discipline: a torn
+/// control row is ignored by every reader; a worker killed mid-cell leaves only a
 /// lease row whose expiry passes, after which the cell is stolen and re-run —
 /// no cell is ever lost and no cell row is ever overwritten.
 
@@ -91,10 +92,10 @@ struct QuarantineRow {
   std::string owner;
 };
 
-/// Serialises a lease row (sentinel-terminated, no trailing newline).
+/// Serialises a lease row as a sealed journal line (no trailing newline).
 std::string FormatLeaseRow(const LeaseRow& row);
 
-/// Serialises a quarantine row (sentinel-terminated, no trailing newline).
+/// Serialises a quarantine row as a sealed journal line (no newline).
 std::string FormatQuarantineRow(const QuarantineRow& row);
 
 /// Control-row classification; kNone covers non-control lines, torn rows and
@@ -108,14 +109,8 @@ struct ControlRow {
 };
 
 /// Parses one journal line as a control row; kind == kNone when it is not a
-/// well-formed, sentinel-terminated control row.
-ControlRow ParseControlRow(const std::string& line);
-
-/// Extracts N from a journal header line of the form "# vN ..."; 0 when the
-/// line carries no parsable format version. Used to tell "journal from a
-/// newer build" (actionable error) apart from "journal from another config"
-/// (rotate aside).
-int HeaderVersion(const std::string& header_line);
+/// well-formed, sealed control row.
+ControlRow ParseControlRow(std::string_view line);
 
 /// RAII exclusive advisory lock (flock) on `path`, creating the file if
 /// needed. Serialises journal read-scan-claim-append cycles across worker
@@ -158,7 +153,9 @@ class LeaseTable {
 
   /// Applies one journal line (cell row, control row, or junk — junk and
   /// torn rows are ignored). Later lines win, matching keep-last dedup.
-  void ApplyLine(const std::string& line);
+  void ApplyLine(std::string_view line);
+  /// ApplyLine for a row a record_log::Reader already unsealed.
+  void ApplyRow(std::string_view row);
 
   /// Lowest-index cell that is not terminal, whose prerequisite (if any) is
   /// terminal, and that is unleased or holds a lease expired at `now_ms`.
@@ -200,7 +197,7 @@ class WorkerJournal {
   /// Creates the journal with the expected header if missing; accepts a
   /// matching header; rejects a NEWER-versioned header with an actionable
   /// error; rotates any other mismatched journal to `<path>.stale` exactly
-  /// like the single-process campaign.
+  /// like the single-process campaign (IOError when that rename fails).
   Status EnsureHeader();
 
   /// Outcome of one Acquire scan.
@@ -231,7 +228,7 @@ class WorkerJournal {
   /// a row already exists are no-ops).
   Status PublishQuarantine(const std::string& algorithm);
 
-  /// Appends the terminal cell row (pre-formatted, sentinel included) for
+  /// Appends the terminal cell row (a sealed bench FormatJournalRow line) for
   /// `index`. The row is flushed before the lock is released.
   Status Complete(size_t index, const std::string& cell_row);
 
@@ -243,9 +240,8 @@ class WorkerJournal {
  private:
   /// Reads the journal into a LeaseTable; caller holds the file lock.
   Result<LeaseTable> ScanLocked() const;
-  /// Appends `line` + '\n', starting on a fresh line if a torn write left
-  /// the file without a trailing newline; flushes. Caller holds the lock.
-  Status AppendLocked(const std::string& line) const;
+  /// Appends one sealed row (record_log::AppendOnce). Caller holds the lock.
+  Status AppendLocked(const std::string& row) const;
 
   const std::string path_;
   const std::string lock_path_;

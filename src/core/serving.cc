@@ -1,7 +1,7 @@
 #include "core/serving.h"
 
 #include <algorithm>
-#include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -13,6 +13,7 @@
 #include "core/fault.h"
 #include "core/log.h"
 #include "core/parallel.h"
+#include "core/record_log.h"
 #include "core/rng.h"
 #include "core/supervisor.h"
 
@@ -20,17 +21,15 @@ namespace etsc {
 
 namespace {
 
-// WAL grammar (DESIGN.md sec 16). One sentinel-terminated row per event, the
-// fabric journal's torn-row discipline: a row without the sentinel was cut by
-// a crash and is skipped, never half-parsed.
-//   O,<id>,<model>,#end        session opened against <model>
-//   I,<id>,<v0>,<v1>,...,#end  one observation accepted (%.17g round-trips)
-//   F,<id>,#end                explicit Finish claimed the session
-//   D,<id>,<n>,#end            deadline force-finish at <n> observed values
-//   C,<id>,#end                session removed (Close / eviction / shed)
-constexpr int kWalVersion = 1;
-constexpr const char kWalHeaderPrefix[] = "# etscwal v";
-constexpr const char kWalSentinel[] = ",#end";
+// WAL grammar (DESIGN.md sec 16): a record log (core/record_log.h) with one
+// sealed row per event.
+//   O,<id>,<model>        session opened against <model>
+//   I,<id>,<v0>,<v1>,...  one observation accepted (%.17g round-trips)
+//   F,<id>                explicit Finish claimed the session
+//   D,<id>,<n>            deadline force-finish at <n> observed values
+//   C,<id>                session removed (Close / eviction / shed)
+constexpr char kWalTag[] = "# etscwal v";
+constexpr char kWalHeader[] = "# etscwal v1";
 
 Counter& Opened() {
   static Counter& c =
@@ -136,64 +135,10 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-bool EndsWith(const std::string& text, const char* suffix) {
-  const size_t n = std::strlen(suffix);
-  return text.size() >= n && text.compare(text.size() - n, n, suffix) == 0;
-}
-
-std::vector<std::string> SplitRow(const std::string& body) {
-  std::vector<std::string> fields;
-  size_t start = 0;
-  while (true) {
-    const size_t comma = body.find(',', start);
-    if (comma == std::string::npos) {
-      fields.push_back(body.substr(start));
-      return fields;
-    }
-    fields.push_back(body.substr(start, comma - start));
-    start = comma + 1;
-  }
-}
-
-bool ParseU64(const std::string& field, uint64_t* out) {
-  if (field.empty()) return false;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long parsed = std::strtoull(field.c_str(), &end, 10);
-  if (end != field.c_str() + field.size() || errno == ERANGE) return false;
-  *out = static_cast<uint64_t>(parsed);
-  return true;
-}
-
-bool ParseFiniteDouble(const std::string& field, double* out) {
-  if (field.empty()) return false;
-  char* end = nullptr;
-  const double parsed = std::strtod(field.c_str(), &end);
-  if (end != field.c_str() + field.size() || !std::isfinite(parsed)) {
-    return false;
-  }
-  *out = parsed;
-  return true;
-}
-
-/// Header line → WAL version; error when the line is not a WAL header at all
-/// (Recover must not mistake an arbitrary file for a journal).
-Result<int> ParseWalHeader(const std::string& line) {
-  const size_t n = std::strlen(kWalHeaderPrefix);
-  if (line.compare(0, n, kWalHeaderPrefix) != 0) {
-    return Status::FailedPrecondition(
-        "Recover: not a serving WAL (header '" + line + "')");
-  }
-  uint64_t version = 0;
-  if (!ParseU64(line.substr(n), &version) || version == 0) {
-    return Status::FailedPrecondition(
-        "Recover: unparseable WAL header '" + line + "'");
-  }
-  return static_cast<int>(version);
-}
-
-std::string WalHeaderLine() {
-  return std::string(kWalHeaderPrefix) + std::to_string(kWalVersion);
+bool ParseFiniteDouble(std::string_view field, double* out) {
+  const char* end = field.data() + field.size();
+  const auto [ptr, ec] = std::from_chars(field.data(), end, *out);
+  return ec == std::errc() && ptr == end && std::isfinite(*out);
 }
 
 }  // namespace
@@ -274,63 +219,23 @@ Status ServingEngine::RegisterModel(
 }
 
 Status ServingEngine::WalArmLocked(bool keep_existing) {
-  if (wal_armed_) return Status::OK();
-  bool fresh = true;
-  bool needs_newline = false;
-  {
-    std::ifstream probe(wal_path_, std::ios::binary);
-    if (probe) {
-      probe.seekg(0, std::ios::end);
-      if (probe.tellg() > 0) {
-        fresh = false;
-        probe.seekg(-1, std::ios::end);
-        char last = '\n';
-        probe.get(last);
-        needs_newline = last != '\n';
-      }
-    }
-  }
-  if (!fresh && !keep_existing) {
+  if (wal_.is_open()) return Status::OK();
+  if (!keep_existing && !record_log::Reader(wal_path_).empty()) {
     // An existing file this engine never Recover()ed is some other run's
-    // history: rotate it aside (the journal's .stale discipline) rather than
-    // interleave two histories in one file.
-    const std::string stale = wal_path_ + ".stale";
+    // history: rotate it aside rather than interleave two histories.
     Logf(LogLevel::kWarn, "serving",
-         "rotating un-recovered WAL %s to %s before journaling",
-         wal_path_.c_str(), stale.c_str());
-    std::remove(stale.c_str());
-    if (std::rename(wal_path_.c_str(), stale.c_str()) != 0) {
-      return Status::IOError("cannot rotate stale serving WAL " + wal_path_);
-    }
-    fresh = true;
-    needs_newline = false;
+         "rotating un-recovered WAL %s to %s.stale before journaling",
+         wal_path_.c_str(), wal_path_.c_str());
+    ETSC_RETURN_NOT_OK(record_log::RotateToStale(wal_path_));
   }
-  wal_out_.open(wal_path_, std::ios::binary | std::ios::app);
-  if (!wal_out_) {
-    return Status::IOError("cannot open serving WAL " + wal_path_);
-  }
-  // Fresh-line discipline: terminate any torn tail fragment so the next row
-  // starts on its own line (the fragment stays sentinel-less and is skipped
-  // by every future Recover).
-  if (needs_newline) wal_out_ << '\n';
-  if (fresh) wal_out_ << WalHeaderLine() << '\n';
-  wal_out_.flush();
-  if (!wal_out_) {
-    return Status::IOError("cannot write serving WAL header " + wal_path_);
-  }
-  wal_armed_ = true;
-  return Status::OK();
+  return wal_.Open(wal_path_, kWalHeader);
 }
 
-Status ServingEngine::WalAppend(const std::string& row) {
+Status ServingEngine::WalAppend(std::string row) {
   if (wal_path_.empty()) return Status::OK();
   std::lock_guard<std::mutex> lock(wal_mu_);
   ETSC_RETURN_NOT_OK(WalArmLocked(/*keep_existing=*/false));
-  wal_out_ << row << kWalSentinel << '\n';
-  wal_out_.flush();
-  if (!wal_out_) {
-    return Status::IOError("serving WAL append failed: " + wal_path_);
-  }
+  ETSC_RETURN_NOT_OK(wal_.Append(record_log::Seal(std::move(row))));
   ++wal_appends_;
   if (MetricsEnabled()) WalAppends().Add(1);
   return Status::OK();
@@ -345,7 +250,7 @@ Result<WalRecovery> ServingEngine::Recover(const std::string& path) {
   }
   {
     std::lock_guard<std::mutex> wal_lock(wal_mu_);
-    if (wal_armed_) {
+    if (wal_.is_open()) {
       return Status::FailedPrecondition(
           "Recover: WAL already armed; recover before any journaled activity");
     }
@@ -353,30 +258,25 @@ Result<WalRecovery> ServingEngine::Recover(const std::string& path) {
   }
 
   WalRecovery rec;
-  std::vector<std::string> lines;
-  {
-    std::ifstream in(path, std::ios::binary);
-    std::string line;
-    while (in && std::getline(in, line)) lines.push_back(line);
-  }
-  if (!lines.empty()) {
-    ETSC_ASSIGN_OR_RETURN(const int version, ParseWalHeader(lines[0]));
-    if (version > kWalVersion) {
-      return Status::FailedPrecondition(
-          "Recover: WAL " + path + " is format v" + std::to_string(version) +
-          " but this build reads up to v" + std::to_string(kWalVersion) +
-          "; upgrade the binary before recovering");
-    }
+  // Opened before arming: the reader stops at the bytes present now, so rows
+  // this recovery appends (deadline forces at its dispatch) are never read
+  // back as history.
+  record_log::Reader log(path);
+  ETSC_ASSIGN_OR_RETURN(const record_log::HeaderMatch header,
+                        log.CheckHeader(kWalHeader, kWalTag));
+  if (header == record_log::HeaderMatch::kForeign) {
+    return Status::FailedPrecondition("Recover: " + path +
+                                      " is not a serving WAL (header '" +
+                                      log.header() + "')");
   }
   // Arm the appender on the same file BEFORE replaying: recovery continues
-  // the history, it never rotates it, and any row the replay itself produces
-  // (a deadline force) lands after everything it replayed.
+  // the history, it never rotates it.
   {
     std::lock_guard<std::mutex> wal_lock(wal_mu_);
     ETSC_RETURN_NOT_OK(WalArmLocked(/*keep_existing=*/true));
   }
 
-  // A malformed sentineled row poisons the rebuild; the engine is cleared so
+  // A malformed sealed row poisons the rebuild; the engine is cleared so
   // a caller that ignores the error cannot serve from half a history.
   const auto fail = [&](Status error) -> Status {
     sessions_.clear();
@@ -385,37 +285,32 @@ Result<WalRecovery> ServingEngine::Recover(const std::string& path) {
   };
 
   SessionId max_id = 0;
-  for (size_t i = 1; i < lines.size(); ++i) {
-    const std::string& raw = lines[i];
-    if (raw.empty()) continue;
-    if (!EndsWith(raw, kWalSentinel)) {
-      // Torn by a crash mid-append: by the append discipline only the final
-      // row can be torn, and its event was never acknowledged — skip it.
-      ++rec.torn_rows;
-      continue;
-    }
-    const std::string line_ref = path + ":" + std::to_string(i + 1);
-    const std::vector<std::string> f =
-        SplitRow(raw.substr(0, raw.size() - std::strlen(kWalSentinel)));
+  std::string_view row;
+  while (log.Next(&row)) {
+    const auto line_ref = [&] {
+      return path + ":" + std::to_string(log.line_number());
+    };
+    const std::vector<std::string_view> f = record_log::SplitFields(row);
     uint64_t id = 0;
-    if (f.size() < 2 || f[0].size() != 1 || !ParseU64(f[1], &id) || id == 0) {
-      return fail(Status::DataLoss("Recover: malformed WAL row at " + line_ref));
+    if (f.size() < 2 || f[0].size() != 1 || !record_log::ParseU64(f[1], &id) ||
+        id == 0) {
+      return fail(Status::DataLoss("Recover: malformed WAL row at " + line_ref()));
     }
     switch (f[0][0]) {
       case 'O': {
         if (f.size() != 3) {
           return fail(
-              Status::DataLoss("Recover: malformed open row at " + line_ref));
+              Status::DataLoss("Recover: malformed open row at " + line_ref()));
         }
-        const auto model_it = model_index_.find(f[2]);
+        const auto model_it = model_index_.find(std::string(f[2]));
         if (model_it == model_index_.end()) {
           return fail(Status::FailedPrecondition(
-              "Recover: WAL row at " + line_ref + " needs model '" + f[2] +
+              "Recover: WAL row at " + line_ref() + " needs model '" + std::string(f[2]) +
               "', which is not registered"));
         }
         if (sessions_.count(id) != 0) {
           return fail(
-              Status::DataLoss("Recover: duplicate session open at " + line_ref));
+              Status::DataLoss("Recover: duplicate session open at " + line_ref()));
         }
         const ModelEntry& entry = models_[model_it->second];
         sessions_.emplace(
@@ -430,19 +325,19 @@ Result<WalRecovery> ServingEngine::Recover(const std::string& path) {
         const auto it = sessions_.find(id);
         if (it == sessions_.end()) {
           return fail(Status::DataLoss(
-              "Recover: observation for unknown session at " + line_ref));
+              "Recover: observation for unknown session at " + line_ref()));
         }
         Session& session = *it->second;
         const size_t arity = models_[session.model_index].num_variables;
         if (f.size() != 2 + arity) {
           return fail(Status::DataLoss(
-              "Recover: observation arity mismatch at " + line_ref));
+              "Recover: observation arity mismatch at " + line_ref()));
         }
         std::vector<double> values(arity);
         for (size_t v = 0; v < arity; ++v) {
           if (!ParseFiniteDouble(f[2 + v], &values[v])) {
             return fail(Status::DataLoss(
-                "Recover: unparseable observation value at " + line_ref));
+                "Recover: unparseable observation value at " + line_ref()));
           }
         }
         session.pending.push_back(std::move(values));
@@ -455,7 +350,7 @@ Result<WalRecovery> ServingEngine::Recover(const std::string& path) {
         const auto it = sessions_.find(id);
         if (it == sessions_.end()) {
           return fail(Status::DataLoss(
-              "Recover: finish for unknown session at " + line_ref));
+              "Recover: finish for unknown session at " + line_ref()));
         }
         Session& session = *it->second;
         // How much of the queue the original finish consumed: an explicit
@@ -465,14 +360,14 @@ Result<WalRecovery> ServingEngine::Recover(const std::string& path) {
         size_t stop_at = std::numeric_limits<size_t>::max();
         if (f[0][0] == 'D') {
           uint64_t n = 0;
-          if (f.size() != 3 || !ParseU64(f[2], &n)) {
+          if (f.size() != 3 || !record_log::ParseU64(f[2], &n)) {
             return fail(Status::DataLoss(
-                "Recover: malformed force-finish row at " + line_ref));
+                "Recover: malformed force-finish row at " + line_ref()));
           }
           stop_at = static_cast<size_t>(n);
         } else if (f.size() != 2) {
           return fail(
-              Status::DataLoss("Recover: malformed finish row at " + line_ref));
+              Status::DataLoss("Recover: malformed finish row at " + line_ref()));
         }
         size_t used = 0;
         while (used < session.pending.size() &&
@@ -504,7 +399,7 @@ Result<WalRecovery> ServingEngine::Recover(const std::string& path) {
         const auto it = sessions_.find(id);
         if (it == sessions_.end()) {
           return fail(Status::DataLoss(
-              "Recover: close for unknown session at " + line_ref));
+              "Recover: close for unknown session at " + line_ref()));
         }
         sessions_.erase(it);
         ++rec.sessions_removed;
@@ -512,9 +407,10 @@ Result<WalRecovery> ServingEngine::Recover(const std::string& path) {
       }
       default:
         return fail(
-            Status::DataLoss("Recover: unknown WAL row kind at " + line_ref));
+            Status::DataLoss("Recover: unknown WAL row kind at " + line_ref()));
     }
   }
+  rec.torn_rows = log.torn_rows();
   next_id_ = std::max(next_id_, max_id + 1);
   rec.sessions_recovered = sessions_.size();
   stats_.live_sessions = sessions_.size();

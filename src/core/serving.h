@@ -3,7 +3,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <fstream>
 #include <limits>
 #include <map>
 #include <memory>
@@ -15,6 +14,7 @@
 #include "core/classifier.h"
 #include "core/dataset.h"
 #include "core/deadline.h"
+#include "core/record_log.h"
 #include "core/status.h"
 #include "core/streaming.h"
 
@@ -291,11 +291,11 @@ class ServingEngine {
   /// watchdog_grace > 0 the replay runs under a supervisor watchdog watch.
   void RunSession(Session* session);
 
-  /// Appends one sentinel-terminated row to the WAL (lazily arming it on
-  /// first use — an existing un-Recover()ed file rotates to .stale) and
-  /// flushes. OK when the WAL is disabled. Thread-safe (own mutex, nested
-  /// inside mu_ where both are held).
-  Status WalAppend(const std::string& row);
+  /// Seals `row` and appends it to the WAL (lazily arming it on first use —
+  /// an existing un-Recover()ed file rotates to .stale); flushed per row.
+  /// OK when the WAL is disabled. Thread-safe (own mutex, nested inside mu_
+  /// where both are held).
+  Status WalAppend(std::string row);
   Status WalArmLocked(bool keep_existing);
 
   /// Overload-policy shedding pass (mu_ held): evicts every decided session,
@@ -322,8 +322,7 @@ class ServingEngine {
   // lazily. Lock order: mu_ before wal_mu_ (RunSession takes wal_mu_ alone).
   mutable std::mutex wal_mu_;
   std::string wal_path_;
-  std::ofstream wal_out_;
-  bool wal_armed_ = false;
+  record_log::Appender wal_;
   size_t wal_appends_ = 0;
 };
 

@@ -17,6 +17,7 @@
 #include "core/counters.h"
 #include "core/dataset.h"
 #include "core/fault.h"
+#include "core/record_log.h"
 
 namespace etsc {
 namespace {
@@ -128,9 +129,9 @@ TEST(FabricLease, ControlRowsRoundTripAndTornRowsAreRejected) {
 }
 
 TEST(FabricLease, HeaderVersionParsesTheJournalFormat) {
-  EXPECT_EQ(fabric::HeaderVersion("# v4 scale=1 data=00"), 4);
-  EXPECT_EQ(fabric::HeaderVersion("# v99 future data=00"), 99);
-  EXPECT_EQ(fabric::HeaderVersion("# unversioned"), 0);
+  EXPECT_EQ(record_log::HeaderVersion("# v4 scale=1 data=00"), 4);
+  EXPECT_EQ(record_log::HeaderVersion("# v99 future data=00"), 99);
+  EXPECT_EQ(record_log::HeaderVersion("# unversioned"), 0);
 }
 
 // ---------------------------------------------------------------------------

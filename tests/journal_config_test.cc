@@ -12,6 +12,7 @@
 
 #include "core/json.h"
 #include "core/parallel.h"
+#include "core/record_log.h"
 
 namespace etsc {
 namespace {
@@ -63,7 +64,7 @@ std::string Row(const std::string& algorithm, const std::string& dataset,
                 double accuracy, const std::string& failure) {
   std::ostringstream ss;
   ss << algorithm << ',' << dataset << ",1," << accuracy
-     << ",0.5,0.25,0.5,1,0.001,0,0," << bench::EscapeJournalField(failure)
+     << ",0.5,0.25,0.5,1,0.001,0,0," << record_log::EscapeField(failure)
      << ",#end";
   return ss.str();
 }
@@ -84,25 +85,25 @@ void WriteJournal(const bench::CampaignConfig& config,
 
 TEST(JournalEscape, RoundTripsEveryReservedCharacter) {
   const std::string nasty = "a,b\nnext\rline\\tail,#end\\n";
-  const std::string escaped = bench::EscapeJournalField(nasty);
+  const std::string escaped = record_log::EscapeField(nasty);
   // A single line without separators: safe to embed as one CSV field.
   EXPECT_EQ(escaped.find('\n'), std::string::npos);
   EXPECT_EQ(escaped.find('\r'), std::string::npos);
   EXPECT_EQ(escaped.find(','), std::string::npos);
-  EXPECT_EQ(bench::UnescapeJournalField(escaped), nasty);
+  EXPECT_EQ(record_log::UnescapeField(escaped), nasty);
 }
 
 TEST(JournalEscape, SentinelCannotBeForged) {
   // The end-of-row sentinel starts with a comma; with every comma escaped, no
   // failure message can terminate a row early.
-  const std::string escaped = bench::EscapeJournalField(",#end");
+  const std::string escaped = record_log::EscapeField(",#end");
   EXPECT_EQ(escaped.find(','), std::string::npos);
-  EXPECT_EQ(bench::UnescapeJournalField(escaped), ",#end");
+  EXPECT_EQ(record_log::UnescapeField(escaped), ",#end");
 }
 
 TEST(JournalEscape, UnknownEscapesPassThroughVerbatim) {
-  EXPECT_EQ(bench::UnescapeJournalField("a\\qb"), "a\\qb");
-  EXPECT_EQ(bench::UnescapeJournalField("trailing\\"), "trailing\\");
+  EXPECT_EQ(record_log::UnescapeField("a\\qb"), "a\\qb");
+  EXPECT_EQ(record_log::UnescapeField("trailing\\"), "trailing\\");
 }
 
 // ---------------------------------------------------------------------------
