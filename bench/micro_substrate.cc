@@ -23,6 +23,7 @@
 
 #include "algos/registrations.h"
 #include "bench/bench_common.h"
+#include "core/env.h"
 #include "core/evaluation.h"
 #include "core/parallel.h"
 #include "core/registry.h"
@@ -528,7 +529,7 @@ void WriteSimdBench(const char* path) {
         xv.data(), pg.data(), ph.data(), n, total_g, total_h, parent_score, 5));
   });
 
-  const char* simd_env = std::getenv("ETSC_SIMD");
+  const std::string simd_env = etsc::env::StringOr("ETSC_SIMD", "");
   std::FILE* out = std::fopen(path, "w");
   if (out == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path);
@@ -551,7 +552,7 @@ void WriteSimdBench(const char* path) {
                "  }\n"
                "}\n",
                etsc::simd::CompiledIsa(), etsc::simd::ActiveIsa(),
-               simd_env == nullptr ? "" : simd_env,
+               simd_env.c_str(),
                minsub_base_ns, minsub_simd_ns, minsub_base_ns / minsub_simd_ns,
                rocket_base_ns, rocket_simd_ns, rocket_base_ns / rocket_simd_ns,
                dft_base_ns, dft_simd_ns, dft_base_ns / dft_simd_ns,

@@ -63,6 +63,7 @@
 #include "core/arff.h"
 #include "core/counters.h"
 #include "core/csv.h"
+#include "core/env.h"
 #include "core/evaluation.h"
 #include "core/fault.h"
 #include "core/json.h"
@@ -485,10 +486,8 @@ int RunCoordinator(const CliArgs& args, const char* argv0) {
     exe = self;
   }
 
-  int restarts_left = 3;
-  if (const char* env = std::getenv("ETSC_WORKER_RESTARTS")) {
-    restarts_left = std::max(0, std::atoi(env));
-  }
+  int64_t restarts_left = etsc::env::IntegerOr(
+      "campaign", "ETSC_WORKER_RESTARTS", 3, 0, 1000000);
   static etsc::Counter& worker_restarts =
       etsc::MetricRegistry::Global().counter("campaign.worker_restarts");
 

@@ -294,21 +294,22 @@ echo "check.sh: perfbench builds against this tree and campaign-cold matches its
 # whose padded-stride pointer arithmetic is exactly where an out-of-bounds
 # vector tail read would hide, plus the trigger suite (composed model
 # streams, stale-format cache demotion — more attacker-shaped bytes), plus
-# the serving WAL suite (torn tails, bit-flip corruption corpus — the newest
-# attacker-shaped parser in the tree).
+# the serving WAL suite (torn tails, bit-flip corruption corpus), plus the
+# shared record log under all three formats and the fabric's control-row
+# parser (record_log_test, fabric_test's FabricLease cases).
 cmake -B build-asan -S . -DETSC_SANITIZE=address
 cmake --build build-asan -j --target serialization_test corruption_test \
-  simd_test trigger_test serving_wal_test
+  simd_test trigger_test serving_wal_test record_log_test fabric_test
 ctest --test-dir build-asan --output-on-failure -j"$(nproc)" \
-  -R 'Serialization|DatasetFingerprint|Corruption|Diagnostics|Simd|Soa|Trigger|StaleFormat|GoldenEquivalence|ServingWal|ServingIngestGuard'
+  -R 'Serialization|DatasetFingerprint|Corruption|Diagnostics|Simd|Soa|Trigger|StaleFormat|GoldenEquivalence|ServingWal|ServingIngestGuard|RecordLog|FabricLease'
 
 # UBSan over the same hostile-input suites: bit flips love to manufacture
 # out-of-range enums, shifts and size arithmetic that ASan alone won't flag.
 cmake -B build-ubsan -S . -DETSC_SANITIZE=undefined
 cmake --build build-ubsan -j --target serialization_test corruption_test \
-  simd_test trigger_test serving_wal_test
+  simd_test trigger_test serving_wal_test record_log_test fabric_test
 ctest --test-dir build-ubsan --output-on-failure -j"$(nproc)" \
-  -R 'Serialization|DatasetFingerprint|Corruption|Diagnostics|Simd|Soa|Trigger|StaleFormat|GoldenEquivalence|ServingWal|ServingIngestGuard'
+  -R 'Serialization|DatasetFingerprint|Corruption|Diagnostics|Simd|Soa|Trigger|StaleFormat|GoldenEquivalence|ServingWal|ServingIngestGuard|RecordLog|FabricLease'
 
 # TSan, oversubscribed: only the targets whose tests exercise the pool, the
 # span/metric recording, the shared campaign journal, the model cache and the

@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cctype>
 #include <condition_variable>
-#include <cerrno>
-#include <cstdlib>
 #include <deque>
 #include <mutex>
 #include <thread>
@@ -13,7 +10,7 @@
 #include <vector>
 
 #include "core/counters.h"
-#include "core/log.h"
+#include "core/env.h"
 #include "core/trace.h"
 
 namespace etsc {
@@ -41,29 +38,11 @@ Counter& TasksExecuted() {
 }
 
 size_t EnvThreadCount() {
-  const char* value = std::getenv("ETSC_THREADS");
   const unsigned hw = std::thread::hardware_concurrency();
-  const size_t fallback = hw == 0 ? 1 : static_cast<size_t>(hw);
-  if (value == nullptr || *value == '\0') return fallback;
-  // Validate fully: "8x", "eight" or an overflowing value silently selecting
-  // the hardware default would hide a mistyped campaign configuration.
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long parsed = std::strtoul(value, &end, 10);
-  const char* rest = end;
-  while (rest != nullptr && *rest != '\0' &&
-         std::isspace(static_cast<unsigned char>(*rest))) {
-    ++rest;
-  }
-  if (end == value || (rest != nullptr && *rest != '\0') || errno == ERANGE ||
-      parsed < 1) {
-    Logf(LogLevel::kWarn, "parallel",
-         "ETSC_THREADS=\"%s\" is not a positive integer; using the hardware "
-         "default (%zu)",
-         value, fallback);
-    return fallback;
-  }
-  return static_cast<size_t>(parsed);
+  // Validated: "8x", "eight" or an overflowing value silently selecting the
+  // hardware default would hide a mistyped campaign configuration.
+  return static_cast<size_t>(env::IntegerOr(
+      "parallel", "ETSC_THREADS", hw == 0 ? 1 : hw, 1, 1000000));
 }
 
 /// The process-wide pool. Workers are started lazily on the first submit and

@@ -18,13 +18,10 @@
 
 #include <atomic>
 #include <bit>
-#include <cctype>
-#include <cerrno>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 
-#include "core/log.h"
+#include "core/env.h"
 
 #if defined(__AVX2__)
 #include <immintrin.h>
@@ -72,27 +69,9 @@ inline void ConsiderSplit(SplitScanBest* best, double gain, size_t pos) {
 std::atomic<int> g_enabled{-1};
 
 int ParseEnabledEnv() {
-  const char* value = std::getenv("ETSC_SIMD");
-  constexpr int kFallback = 1;
-  if (value == nullptr || *value == '\0') return kFallback;
   // Same validation contract as ETSC_THREADS: "yes", "01x" or an overflowing
   // value silently flipping the kernel path would hide a mistyped config.
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long parsed = std::strtoul(value, &end, 10);
-  const char* rest = end;
-  while (rest != nullptr && *rest != '\0' &&
-         std::isspace(static_cast<unsigned char>(*rest))) {
-    ++rest;
-  }
-  if (end == value || (rest != nullptr && *rest != '\0') || errno == ERANGE ||
-      parsed > 1) {
-    Logf(LogLevel::kWarn, "simd",
-         "ETSC_SIMD=\"%s\" is not 0 or 1; keeping the default (%d)", value,
-         kFallback);
-    return kFallback;
-  }
-  return static_cast<int>(parsed);
+  return static_cast<int>(env::IntegerOr("simd", "ETSC_SIMD", 1, 0, 1));
 }
 
 }  // namespace

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <string>
 
 #include "core/counters.h"
+#include "core/env.h"
 #include "core/log.h"
 #include "core/rng.h"
 
@@ -25,47 +25,20 @@ Counter& WatchdogCancellations() {
   return c;
 }
 
-/// Validated env parsing, same contract as CampaignConfig::FromEnv: unset
-/// keeps the default, garbage warns and keeps the default. Local copies —
-/// core must not depend on bench.
-double GetEnvDoubleOr(const char* name, double fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  char* end = nullptr;
-  const double parsed = std::strtod(raw, &end);
-  if (end == raw || *end != '\0' || std::isnan(parsed)) {
-    Logf(LogLevel::kWarn, "supervisor",
-         "ignoring unparseable %s=\"%s\" (keeping %g)", name, raw, fallback);
-    return fallback;
-  }
-  return parsed;
-}
-
-int GetEnvIntOr(const char* name, int fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  char* end = nullptr;
-  const long parsed = std::strtol(raw, &end, 10);
-  if (end == raw || *end != '\0' || parsed < 0 || parsed > 1000000) {
-    Logf(LogLevel::kWarn, "supervisor",
-         "ignoring unparseable %s=\"%s\" (keeping %d)", name, raw, fallback);
-    return fallback;
-  }
-  return static_cast<int>(parsed);
-}
-
 }  // namespace
 
 SupervisorOptions SupervisorOptions::FromEnv() {
   SupervisorOptions opts;
-  opts.retry.max_retries = GetEnvIntOr("ETSC_RETRY_MAX", opts.retry.max_retries);
+  opts.retry.max_retries = static_cast<int>(env::IntegerOr(
+      "supervisor", "ETSC_RETRY_MAX", opts.retry.max_retries, 0, 1000000));
   opts.retry.base_backoff_ms =
-      GetEnvDoubleOr("ETSC_RETRY_BASE_MS", opts.retry.base_backoff_ms);
-  if (opts.retry.base_backoff_ms < 0.0) opts.retry.base_backoff_ms = 0.0;
-  opts.quarantine_after =
-      GetEnvIntOr("ETSC_QUARANTINE_AFTER", opts.quarantine_after);
-  opts.watchdog_grace =
-      GetEnvDoubleOr("ETSC_WATCHDOG_GRACE", opts.watchdog_grace);
+      env::NumberOr("supervisor", "ETSC_RETRY_BASE_MS",
+                    opts.retry.base_backoff_ms, 0.0, 1e9);
+  opts.quarantine_after = static_cast<int>(
+      env::IntegerOr("supervisor", "ETSC_QUARANTINE_AFTER",
+                     opts.quarantine_after, 0, 1000000));
+  opts.watchdog_grace = env::NumberOr("supervisor", "ETSC_WATCHDOG_GRACE",
+                                      opts.watchdog_grace, 0.0, 1e6);
   return opts;
 }
 

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+
 #include <cstdio>
 #include <fstream>
 #include <iterator>
@@ -15,6 +17,7 @@
 
 #include "bench/bench_common.h"
 #include "core/fabric.h"
+#include "core/record_log.h"
 #include "core/serving.h"
 
 namespace etsc {
@@ -304,6 +307,163 @@ TEST(RecordLogBytes, FabricAppendAfterATornTailStartsOnAFreshLine) {
   EXPECT_EQ(lines[1], "@lease,ECTS,PowerCons,w0,12");
   ExpectLeaseRow(lines[2], "w1", before + 5000, after + 5000);
   EXPECT_EQ(lines[3], "");
+}
+
+// ---------------------------------------------------------------------------
+// The record log itself: codec, header versions, reader bounds, rotation
+// ---------------------------------------------------------------------------
+
+TEST(RecordLog, FieldCodecRoundTripsAndSplitsStrictly) {
+  EXPECT_EQ(record_log::Unseal(record_log::Seal("a,b")), "a,b");
+  EXPECT_FALSE(record_log::Unseal("a,b,#en").has_value());
+  const auto fields = record_log::SplitFields("a,,b,");
+  ASSERT_EQ(fields.size(), 4u);
+  EXPECT_EQ(fields[1], "");
+  EXPECT_EQ(fields[3], "");
+  const std::string nasty = "x,y\n\\,#end\r";
+  EXPECT_EQ(record_log::SplitFields(record_log::EscapeField(nasty)).size(), 1u);
+  EXPECT_EQ(record_log::UnescapeField(record_log::EscapeField(nasty)), nasty);
+
+  uint64_t v = 0;
+  EXPECT_TRUE(record_log::ParseU64("18446744073709551615", &v));
+  EXPECT_EQ(v, 18446744073709551615u);
+  for (const char* bad : {"", "+1", "-1", " 1", "1 ", "1x", "0x10",
+                          "18446744073709551616"}) {
+    EXPECT_FALSE(record_log::ParseU64(bad, &v)) << "'" << bad << "'";
+  }
+}
+
+TEST(RecordLog, HeaderVersionIsBoundedNotWrapped) {
+  EXPECT_EQ(record_log::HeaderVersion("# v4 scale=1"), 4);
+  EXPECT_EQ(record_log::HeaderVersion("# etscwal v1", "# etscwal v"), 1);
+  EXPECT_EQ(record_log::HeaderVersion("# etscwal v1"), 0);  // another tag
+  EXPECT_EQ(record_log::HeaderVersion("# v-3"), 0);
+  // 2^32 + 1 must not wrap to v1, and a huge journal version must not read
+  // as "unversioned".
+  EXPECT_EQ(record_log::HeaderVersion("# etscwal v4294967297", "# etscwal v"),
+            record_log::kVersionOutOfRange);
+  EXPECT_EQ(record_log::HeaderVersion("# v99999999999999999999 x"),
+            record_log::kVersionOutOfRange);
+}
+
+TEST(RecordLog, WalFromAFarFutureVersionIsRefused) {
+  const std::string wal = FreshPath("record_log_wal_future.wal");
+  WriteFile(wal, "# etscwal v4294967297\nO,1,m,#end\n");
+  ServingEngine engine;
+  ASSERT_TRUE(
+      engine.RegisterModel("m", std::make_shared<NeverDecides>(), 1).ok());
+  auto rec = engine.Recover(wal);
+  ASSERT_FALSE(rec.ok());
+  EXPECT_EQ(rec.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(rec.status().message().find("upgrade"), std::string::npos)
+      << rec.status().ToString();
+  EXPECT_EQ(ReadFile(wal), "# etscwal v4294967297\nO,1,m,#end\n");
+}
+
+TEST(RecordLog, JournalFromAFarFutureVersionIsRefusedNotRotated) {
+  const std::string path = FreshPath("record_log_journal_future.csv");
+  const std::string future = "# v99999999999 from-the-future data=00\n";
+  WriteFile(path, future);
+  fabric::WorkerJournal journal(path, kFabricHeader, TwoCellGrid(), "w1",
+                                fabric::LeaseOptions());
+  const Status status = journal.EnsureHeader();
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(status.message().find("upgrade"), std::string::npos);
+  EXPECT_EQ(ReadFile(path), future);
+  EXPECT_EQ(ReadFile(path + ".stale"), "");
+
+  const bench::CampaignConfig config = CrashingConfig("record_log_future.csv");
+  WriteFile(config.cache_path, future);
+  bench::Campaign campaign(config);
+  const Status run = campaign.Run();
+  EXPECT_EQ(run.code(), StatusCode::kFailedPrecondition) << run.ToString();
+  EXPECT_EQ(ReadFile(config.cache_path), future);
+}
+
+TEST(RecordLog, ReaderStopsAtTheBytesPresentWhenItOpened) {
+  const std::string path = FreshPath("record_log_reader.log");
+  WriteFile(path, "# t v1\na,#end\n\nb,#end\ntorn");
+  record_log::Reader log(path);
+  ASSERT_TRUE(log.exists());
+  EXPECT_EQ(log.header(), "# t v1");
+  {
+    // Another writer completes the torn line and appends a row meanwhile.
+    std::ofstream out(path, std::ios::binary | std::ios::app);
+    out << ",#end\nc,#end\n";
+  }
+  std::vector<std::string> rows;
+  std::string_view row;
+  while (log.Next(&row)) {
+    rows.push_back(std::string(row) + "@" + std::to_string(log.line_number()));
+  }
+  EXPECT_EQ(rows, (std::vector<std::string>{"a@2", "b@4"}));
+  EXPECT_EQ(log.torn_rows(), 1u);
+}
+
+TEST(RecordLog, AppenderRefusesRowsThatWouldBreakTheFormat) {
+  const std::string path = FreshPath("record_log_appender.log");
+  record_log::Appender log;
+  ASSERT_TRUE(log.Open(path, "# t v1").ok());
+  EXPECT_EQ(log.Append("unsealed").code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(log.Append("two\nlines,#end").code(),
+            StatusCode::kInvalidArgument);
+  ASSERT_TRUE(log.Append(record_log::Seal("ok")).ok());
+  EXPECT_EQ(ReadFile(path), "# t v1\nok,#end\n");
+}
+
+/// Makes "<path>.stale" a non-empty directory, so rotating `path` fails.
+void BlockRotation(const std::string& path) {
+  const std::string stale = path + ".stale";
+  ASSERT_EQ(::mkdir(stale.c_str(), 0755), 0);
+  WriteFile(stale + "/keep", "x");
+}
+
+void UnblockRotation(const std::string& path) {
+  std::remove((path + ".stale/keep").c_str());
+  std::remove((path + ".stale").c_str());
+}
+
+TEST(RecordLog, FailedRotationIsAnErrorAndKeepsTheForeignLog) {
+  const std::string path = FreshPath("record_log_rotate.csv");
+  UnblockRotation(path);
+  const std::string foreign = "# v4 another-campaign data=11\nx,y,#end\n";
+  WriteFile(path, foreign);
+  BlockRotation(path);
+  fabric::WorkerJournal journal(path, kFabricHeader, TwoCellGrid(), "w1",
+                                fabric::LeaseOptions());
+  EXPECT_EQ(journal.EnsureHeader().code(), StatusCode::kIOError);
+  EXPECT_EQ(ReadFile(path), foreign);
+
+  ServingOptions options;
+  options.wal_path = path;
+  ServingEngine engine(options);
+  ASSERT_TRUE(
+      engine.RegisterModel("m", std::make_shared<NeverDecides>(), 1).ok());
+  EXPECT_EQ(engine.Open("m").status().code(), StatusCode::kIOError);
+  EXPECT_EQ(ReadFile(path), foreign);
+  UnblockRotation(path);
+}
+
+TEST(RecordLog, CampaignFailsWhenItsJournalCannotBeWritten) {
+  bench::CampaignConfig config = CrashingConfig("record_log_nodir.csv");
+  config.cache_path =
+      ::testing::TempDir() + "record_log_missing_dir/journal.csv";
+  bench::Campaign campaign(config);
+  const Status status = campaign.Run();
+  EXPECT_EQ(status.code(), StatusCode::kIOError) << status.ToString();
+
+  // A stale journal that cannot be rotated aside fails the run the same way,
+  // and its rows survive.
+  const bench::CampaignConfig stale = CrashingConfig("record_log_stale.csv");
+  UnblockRotation(stale.cache_path);
+  const std::string foreign = "# v4 another-campaign data=11\nx,y,#end\n";
+  WriteFile(stale.cache_path, foreign);
+  BlockRotation(stale.cache_path);
+  bench::Campaign blocked(stale);
+  EXPECT_EQ(blocked.Run().code(), StatusCode::kIOError);
+  EXPECT_EQ(ReadFile(stale.cache_path), foreign);
+  UnblockRotation(stale.cache_path);
 }
 
 }  // namespace
