@@ -238,10 +238,11 @@ Status WorkerJournal::EnsureHeader() {
   if (match == record_log::HeaderMatch::kForeign) {
     // Same discipline as the single-process campaign: a journal from another
     // config is rotated aside, never appended to.
-    ETSC_RETURN_NOT_OK(record_log::RotateToStale(path_));
+    ETSC_ASSIGN_OR_RETURN(const std::string stale,
+                          record_log::RotateToStale(path_));
     Logf(LogLevel::kWarn, "fabric",
-         "journal %s has a different fingerprint; rotated to %s.stale",
-         path_.c_str(), path_.c_str());
+         "journal %s has a different fingerprint; rotated to %s",
+         path_.c_str(), stale.c_str());
   }
   record_log::Appender create;
   return create.Open(path_, expected_header_);

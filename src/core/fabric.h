@@ -22,10 +22,10 @@ namespace etsc::fabric {
 /// Protocol. The journal stays an append-only record log (core/record_log.h)
 /// whose header is the campaign's and whose rows are cell results
 /// (bench/bench_common.h). Workers additionally append CONTROL rows — rows
-/// starting with '@', which result readers skip:
+/// starting with '@', sealed like every other row, which result readers skip:
 ///
-///   @lease,<algorithm>,<dataset>,<owner>,<expiry_ms>,#end
-///   @quarantine,<algorithm>,<owner>,#end
+///   @lease,<algorithm>,<dataset>,<owner>,<expiry_ms>
+///   @quarantine,<algorithm>,<owner>
 ///
 /// A worker claims a cell by appending a lease row under an exclusive file
 /// lock (flock on `<journal>.lock`), renews it by appending a fresh lease row

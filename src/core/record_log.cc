@@ -118,14 +118,14 @@ int HeaderVersion(std::string_view line, std::string_view tag) {
   return version;
 }
 
-Status RotateToStale(const std::string& path) {
+Result<std::string> RotateToStale(const std::string& path) {
   const std::string stale = path + ".stale";
   std::remove(stale.c_str());
   if (std::rename(path.c_str(), stale.c_str()) != 0) {
     return Status::IOError("cannot rotate " + path + " to " + stale +
                            "; move it aside by hand");
   }
-  return Status::OK();
+  return stale;
 }
 
 Reader::Reader(std::string path)

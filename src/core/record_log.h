@@ -65,10 +65,10 @@ inline constexpr int kVersionOutOfRange = std::numeric_limits<int>::max();
 /// 0 when the line does not start with `tag` followed by a digit.
 int HeaderVersion(std::string_view line, std::string_view tag = "# v");
 
-/// Moves `path` to "<path>.stale" (replacing an older one). IOError when the
-/// rename fails: the file is left in place, never truncated, because its
-/// history is exactly what the rotation exists to keep.
-Status RotateToStale(const std::string& path);
+/// Moves `path` to "<path>.stale" (replacing an older one) and returns the
+/// new name. IOError when the rename fails: the file is left in place, never
+/// truncated, because its history is what the rotation exists to keep.
+Result<std::string> RotateToStale(const std::string& path);
 
 /// How a log's header compares with the one this build writes.
 enum class HeaderMatch {

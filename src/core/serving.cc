@@ -223,10 +223,11 @@ Status ServingEngine::WalArmLocked(bool keep_existing) {
   if (!keep_existing && !record_log::Reader(wal_path_).empty()) {
     // An existing file this engine never Recover()ed is some other run's
     // history: rotate it aside rather than interleave two histories.
+    ETSC_ASSIGN_OR_RETURN(const std::string stale,
+                          record_log::RotateToStale(wal_path_));
     Logf(LogLevel::kWarn, "serving",
-         "rotating un-recovered WAL %s to %s.stale before journaling",
-         wal_path_.c_str(), wal_path_.c_str());
-    ETSC_RETURN_NOT_OK(record_log::RotateToStale(wal_path_));
+         "rotated un-recovered WAL %s to %s before journaling",
+         wal_path_.c_str(), stale.c_str());
   }
   return wal_.Open(wal_path_, kWalHeader);
 }
