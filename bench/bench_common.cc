@@ -86,10 +86,11 @@ CampaignConfig CampaignConfig::FromEnv() {
   config.predict_budget_seconds =
       env::NumberOr("campaign", "ETSC_BENCH_PREDICT_BUDGET",
                     config.predict_budget_seconds, 0.0, kInf);
-  config.maritime_windows = env::IntegerOr(
-      "campaign", "ETSC_BENCH_MARITIME", config.maritime_windows, 0, 1000000000);
-  config.cost_alpha =
-      env::NumberOr("campaign", "ETSC_BENCH_ALPHA", config.cost_alpha, 0.0, 1.0);
+  config.maritime_windows =
+      env::IntegerOr("campaign", "ETSC_BENCH_MARITIME",
+                     config.maritime_windows, 0, 1000000000);
+  config.cost_alpha = env::NumberOr("campaign", "ETSC_BENCH_ALPHA",
+                                    config.cost_alpha, 0.0, 1.0);
   const std::string algos = env::StringOr("ETSC_BENCH_ALGOS", "");
   config.algorithms = algos.empty() ? PaperAlgorithms() : SplitCommas(algos);
   const std::string datasets = env::StringOr("ETSC_BENCH_DATASETS", "");
@@ -306,9 +307,9 @@ Status Campaign::LoadCache(const std::string& expected_header) {
     // the file aside before the first new row.
     journal_stale_ = true;
     Logf(LogLevel::kWarn, "campaign",
-         "cache %s has a different fingerprint; it will be rotated to "
-         "%s.stale before new results are journalled",
-         config_.cache_path.c_str(), config_.cache_path.c_str());
+         "cache %s has a different fingerprint; it will be rotated aside "
+         "before new results are journalled",
+         config_.cache_path.c_str());
     return Status::OK();
   }
   size_t duplicates = 0;
@@ -369,7 +370,10 @@ Status Campaign::AppendCache(const CampaignCell& cell) {
   if (journal_stale_) {
     // Appending under a foreign header would make these rows silently
     // unloadable forever; move the old journal out of the way first.
-    ETSC_RETURN_NOT_OK(record_log::RotateToStale(config_.cache_path));
+    ETSC_ASSIGN_OR_RETURN(const std::string stale,
+                          record_log::RotateToStale(config_.cache_path));
+    Logf(LogLevel::kWarn, "campaign", "rotated cache %s to %s",
+         config_.cache_path.c_str(), stale.c_str());
     journal_stale_ = false;
   }
   // One cell can take hours; the row is flushed so a later crash costs at

@@ -229,13 +229,12 @@ struct CampaignCell {
 /// crash mid-campaign still loses at most the rows being written. Run()
 /// reports aggregate wall-clock vs. CPU-sum speedup on stderr.
 ///
-/// Journal crash-safety contract:
-///  - The journal's first line is the config fingerprint; a file written
-///    under another config is rotated aside to `<path>.stale` before the
-///    first new append, never appended to (stale rows would be unloadable).
-///  - Every row is flushed as soon as its cell completes and ends with an
-///    end-of-row sentinel; a trailing row truncated by a mid-write crash is
-///    detected, skipped, and recomputed on the next run.
+/// Journal crash-safety contract: the journal is a record log
+/// (core/record_log.h) whose header is the config fingerprint. A file
+/// written under another config is rotated aside before the first new
+/// append, never appended to (its rows would be unloadable). Every row is
+/// flushed as soon as its cell completes; a row torn by a mid-write crash is
+/// skipped and its cell recomputed on the next run.
 class Campaign {
  public:
   explicit Campaign(CampaignConfig config = CampaignConfig::FromEnv());

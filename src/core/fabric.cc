@@ -232,8 +232,9 @@ Status WorkerJournal::EnsureHeader() {
   if (!lock.ok()) {
     return Status::IOError("fabric: cannot lock " + lock_path_);
   }
+  const record_log::Reader log(path_);
   ETSC_ASSIGN_OR_RETURN(const record_log::HeaderMatch match,
-                        record_log::Reader(path_).CheckHeader(expected_header_));
+                        log.CheckHeader(expected_header_));
   if (match == record_log::HeaderMatch::kMatch) return Status::OK();
   if (match == record_log::HeaderMatch::kForeign) {
     // Same discipline as the single-process campaign: a journal from another

@@ -295,7 +295,8 @@ Result<WalRecovery> ServingEngine::Recover(const std::string& path) {
     uint64_t id = 0;
     if (f.size() < 2 || f[0].size() != 1 || !record_log::ParseU64(f[1], &id) ||
         id == 0) {
-      return fail(Status::DataLoss("Recover: malformed WAL row at " + line_ref()));
+      return fail(
+          Status::DataLoss("Recover: malformed WAL row at " + line_ref()));
     }
     switch (f[0][0]) {
       case 'O': {
@@ -306,12 +307,12 @@ Result<WalRecovery> ServingEngine::Recover(const std::string& path) {
         const auto model_it = model_index_.find(std::string(f[2]));
         if (model_it == model_index_.end()) {
           return fail(Status::FailedPrecondition(
-              "Recover: WAL row at " + line_ref() + " needs model '" + std::string(f[2]) +
-              "', which is not registered"));
+              "Recover: WAL row at " + line_ref() + " needs model '" +
+              std::string(f[2]) + "', which is not registered"));
         }
         if (sessions_.count(id) != 0) {
-          return fail(
-              Status::DataLoss("Recover: duplicate session open at " + line_ref()));
+          return fail(Status::DataLoss(
+              "Recover: duplicate session open at " + line_ref()));
         }
         const ModelEntry& entry = models_[model_it->second];
         sessions_.emplace(
@@ -367,8 +368,8 @@ Result<WalRecovery> ServingEngine::Recover(const std::string& path) {
           }
           stop_at = static_cast<size_t>(n);
         } else if (f.size() != 2) {
-          return fail(
-              Status::DataLoss("Recover: malformed finish row at " + line_ref()));
+          return fail(Status::DataLoss(
+              "Recover: malformed finish row at " + line_ref()));
         }
         size_t used = 0;
         while (used < session.pending.size() &&

@@ -36,8 +36,8 @@ namespace etsc {
 ///     StreamingSession, so batched decisions are bit-identical to the
 ///     single-caller streaming path by construction — at any pool width.
 ///   * durability: with `wal_path` set, every Open / Ingest / Finish / Close
-///     / eviction appends one sentinel-terminated row to a per-engine
-///     write-ahead journal BEFORE the in-memory state changes (write-ahead,
+///     / eviction appends one row to a per-engine write-ahead record log
+///     (core/record_log.h) BEFORE the in-memory state changes (write-ahead,
 ///     literally: a mutation the WAL refused never happened). Recover(path)
 ///     replays the journal against the registered models and rebuilds the
 ///     session table, so a crashed process restarts with every in-flight
@@ -170,7 +170,7 @@ struct WalRecovery {
   size_t observations_replayed = 0;
   size_t finishes_replayed = 0;     // Finish + deadline-force rows
   size_t decisions_recovered = 0;   // sessions holding a decision afterwards
-  size_t torn_rows = 0;             // sentinel-less rows skipped (torn tail)
+  size_t torn_rows = 0;             // unsealed rows skipped (torn tail)
   double replay_seconds = 0.0;
 };
 
@@ -202,8 +202,8 @@ class ServingEngine {
   /// DispatchBatch path, so post-recovery decisions are bit-identical to an
   /// uncrashed run of the same event sequence. Appends continue on the same
   /// file. A missing or empty file is a clean empty recovery. Torn
-  /// (sentinel-less) tail rows are skipped and counted; a sentineled but
-  /// malformed row is DataLoss naming the line; a row against an
+  /// (unsealed) tail rows are skipped and counted; a sealed but malformed
+  /// row is DataLoss naming the line; a row against an
   /// unregistered model is FailedPrecondition. Must be called on a quiescent
   /// engine with no sessions and no WAL rows written yet.
   Result<WalRecovery> Recover(const std::string& path);
