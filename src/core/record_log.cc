@@ -159,13 +159,9 @@ Result<HeaderMatch> Reader::CheckHeader(std::string_view expected,
   const int theirs = HeaderVersion(header_, tag);
   const int mine = HeaderVersion(expected, tag);
   if (theirs > mine) {
-    const std::string_view digits = std::string_view(header_).substr(
-        tag.size(), header_.find_first_not_of("0123456789", tag.size()) -
-                        tag.size());
     return Status::FailedPrecondition(
-        path_ + " was written by a newer build (format v" +
-        std::string(digits) + "; this build reads up to v" +
-        std::to_string(mine) +
+        path_ + " was written by a newer build (header '" + header_ +
+        "'; this build reads up to v" + std::to_string(mine) +
         "): upgrade the binary, or move the file aside to start afresh");
   }
   return HeaderMatch::kForeign;

@@ -538,7 +538,7 @@ Status ServingEngine::Ingest(SessionId id, const std::vector<double>& values) {
       std::snprintf(buf, sizeof(buf), ",%.17g", v);
       row += buf;
     }
-    ETSC_RETURN_NOT_OK(WalAppend(row));
+    ETSC_RETURN_NOT_OK(WalAppend(std::move(row)));
   }
   session.pending.push_back(values);
   session.last_activity = std::chrono::steady_clock::now();
