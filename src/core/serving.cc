@@ -531,7 +531,10 @@ Status ServingEngine::Ingest(SessionId id, const std::vector<double>& values) {
     }
   }
   if (!wal_path_.empty()) {
-    std::string row = "I," + std::to_string(id);
+    std::string row;
+    row.reserve(32 + 25 * values.size());  // one allocation, seal included
+    row += "I,";
+    row += std::to_string(id);
     char buf[40];
     for (const double v : values) {
       // 17 significant digits round-trip every finite double exactly.
