@@ -276,6 +276,19 @@ TEST(CampaignEnv, ValidNumericOverridesParse) {
   EXPECT_DOUBLE_EQ(config.train_budget_seconds, 60.0);
 }
 
+TEST(CampaignEnv, IntegerKnobsRejectFractionsAndSigns) {
+  const bench::CampaignConfig defaults;
+  for (const char* bad : {"2.5", "+3", "-0", "1e3", "3 4"}) {
+    ScopedEnv folds("ETSC_BENCH_FOLDS", bad);
+    ScopedEnv maritime("ETSC_BENCH_MARITIME", bad);
+    const bench::CampaignConfig config = bench::CampaignConfig::FromEnv();
+    EXPECT_EQ(config.folds, defaults.folds) << bad;
+    EXPECT_EQ(config.maritime_windows, defaults.maritime_windows) << bad;
+  }
+  ScopedEnv folds("ETSC_BENCH_FOLDS", " 7\t");
+  EXPECT_EQ(bench::CampaignConfig::FromEnv().folds, 7u);
+}
+
 TEST(ThreadsEnv, GarbageThreadCountFallsBackToHardwareDefault) {
   {
     ScopedEnv threads("ETSC_THREADS", "lots");
