@@ -20,7 +20,7 @@
 #include "core/composed.h"
 #include "core/evaluation.h"
 #include "core/registry.h"
-#include "core/voting_schemes.h"
+#include "core/voting.h"
 #include "data/repository.h"
 #include "tsc/weasel.h"
 
@@ -149,11 +149,9 @@ int main() {
         etsc::VotingScheme::kMajorityMeanEarliness,
         etsc::VotingScheme::kEarliestVoter,
         etsc::VotingScheme::kEarlinessWeighted}) {
-    etsc::ConfigurableVotingClassifier wrapper(Create("ects"), scheme);
-    etsc::EvaluationOptions options = Opts();
-    options.wrap_univariate_with_voting = false;  // we wrapped explicitly
+    etsc::VotingEarlyClassifier wrapper(Create("ects"), scheme);
     Report(etsc::VotingSchemeName(scheme).c_str(),
-           CrossValidate(motions, wrapper, options));
+           CrossValidate(motions, wrapper, Opts()));
   }
   return 0;
 }

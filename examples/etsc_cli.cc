@@ -71,6 +71,7 @@
 #include "core/registry.h"
 #include "core/serving.h"
 #include "core/trigger.h"
+#include "core/voting.h"
 #include "data/repository.h"
 
 namespace {
@@ -870,12 +871,10 @@ int RunServe(const CliArgs& args) {
     std::fprintf(stderr, "%s\n", created.status().ToString().c_str());
     return 1;
   }
-  std::shared_ptr<etsc::EarlyClassifier> model = std::move(*created);
-  if (dataset.NumVariables() > 1 && !model->SupportsMultivariate()) {
-    std::fprintf(stderr, "%s does not support multivariate data\n",
-                 args.algo.c_str());
-    return 1;
-  }
+  // Univariate algorithms vote per variable on multivariate data, as in a
+  // campaign fold.
+  std::shared_ptr<etsc::EarlyClassifier> model =
+      etsc::WrapForDataset(std::move(*created), dataset);
 
   // One fitted model shared by every session, reused across invocations via
   // the model cache (ETSC_MODEL_CACHE) under the full-dataset key.

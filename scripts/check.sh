@@ -7,8 +7,9 @@
 # worker dying abruptly mid-cell must cost zero cells: the survivor steals the
 # orphaned lease and the merged report stays bit-identical), a serving-engine
 # smoke gate (batched multi-session dispatch must be bit-identical to the
-# sequential StreamingSession reference and emit its report, for ECTS and
-# for the bank-trigger composition 1nn+ecec-ratio), a serving chaos drill
+# sequential StreamingSession reference and emit its report, for ECTS, for
+# the bank-trigger composition 1nn+ecec-ratio, and for ECTS voting per
+# variable on the multivariate Biological set), a serving chaos drill
 # (a serving process dying abruptly mid-dispatch must recover from its
 # session WAL with a bit-identical decision set, and a torn WAL
 # tail must be skipped via Status accounting, never a crash), a composition
@@ -169,7 +170,9 @@ echo "check.sh: crash drill survived — lease stolen, zero lost cells, merged r
 # single-StreamingSession reference (exit 4 on any divergence) and emit the
 # throughput/latency report. The second run serves a bank trigger
 # (1nn+ecec-ratio: a per-checkpoint 1NN bank with posteriors, a stateful
-# trigger that reads is_last) through the same engine.
+# trigger that reads is_last) through the same engine. The third serves a
+# univariate algorithm on the 3-variable Biological dataset, voting-wrapped
+# per variable exactly as a campaign fold wraps it.
 SERVE_DIR="$(mktemp -d)"
 trap 'rm -rf "$SHARD_DIR" "$SIMD_DIR" "$FAULT_DIR" "$FABRIC_DIR" "$SERVE_DIR"' EXIT
 (
@@ -182,6 +185,9 @@ trap 'rm -rf "$SHARD_DIR" "$SIMD_DIR" "$FAULT_DIR" "$FABRIC_DIR" "$SERVE_DIR"' E
   ./build/examples/etsc_cli --serve --algo 1nn+ecec-ratio --dataset PowerCons \
     --sessions 100 --dispatch-every 64 --serve-report "$SERVE_DIR/ecec.json"
   grep -q '"bit_identical":true' "$SERVE_DIR/ecec.json"
+  ./build/examples/etsc_cli --serve --algo ects --dataset Biological \
+    --sessions 100 --dispatch-every 64 --serve-report "$SERVE_DIR/bio.json"
+  grep -q '"bit_identical":true' "$SERVE_DIR/bio.json"
 )
 echo "check.sh: serving engine batched == sequential, report emitted"
 

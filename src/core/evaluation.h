@@ -97,7 +97,6 @@ struct EvaluationOptions {
   /// Wall-clock budget for ONE PredictEarly call; an overrun degrades that
   /// instance to a full-length miss instead of hanging the evaluation.
   double predict_budget_seconds = std::numeric_limits<double>::infinity();
-  bool wrap_univariate_with_voting = true;   // Sec. 6.1 voting scheme
   /// Stop evaluating remaining folds once one fold fails to train (budget
   /// exhaustion would only repeat); the paper's 48-hour rule likewise kills
   /// the whole run.

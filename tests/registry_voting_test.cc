@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <memory>
+#include <thread>
 
 #include "algos/registrations.h"
 #include "core/registry.h"
@@ -54,6 +56,25 @@ class StubEarly : public EarlyClassifier {
   int forced_label_;
   int label_ = 0;
   size_t fitted_vars_ = 0;
+};
+
+/// Voter that spends ~0.15 s of wall time in Fit and then checks its train
+/// deadline, like an algorithm polling between expensive phases.
+class SlowVoter : public EarlyClassifier {
+ public:
+  Status Fit(const Dataset&) override {
+    const Deadline deadline = TrainDeadline();
+    std::this_thread::sleep_for(std::chrono::milliseconds(150));
+    return deadline.Check("slow voter fit");
+  }
+  Result<EarlyPrediction> PredictEarly(const TimeSeries& series) const override {
+    return EarlyPrediction{0, series.length()};
+  }
+  std::string name() const override { return "slow"; }
+  bool SupportsMultivariate() const override { return false; }
+  std::unique_ptr<EarlyClassifier> CloneUntrained() const override {
+    return std::make_unique<SlowVoter>();
+  }
 };
 
 TEST(Registry, BuiltinAlgorithmsRegistered) {
@@ -150,6 +171,20 @@ TEST(WrapForDatasetFn, WrapsOnlyWhenNeeded) {
 
   auto wrapped = WrapForDataset(std::make_unique<StubEarly>(), mv);
   EXPECT_EQ(wrapped->name(), "stub+vote");
+}
+
+// The train budget covers the whole fold: four voters of ~0.15 s each share
+// one 0.3 s budget instead of getting 0.3 s apiece.
+TEST(Voting, TrainBudgetIsSharedByAllVoters) {
+  Dataset mv;
+  for (int label = 0; label < 2; ++label) {
+    std::vector<std::vector<double>> channels(4, std::vector<double>(8, label));
+    mv.Add(TimeSeries::FromChannels(std::move(channels)).value(), label);
+  }
+  VotingEarlyClassifier voting(std::make_unique<SlowVoter>());
+  voting.set_train_budget_seconds(0.3);
+  const Status fitted = voting.Fit(mv);
+  EXPECT_EQ(fitted.code(), StatusCode::kDeadlineExceeded) << fitted.ToString();
 }
 
 TEST(Voting, CloneUntrainedProducesFreshWrapper) {

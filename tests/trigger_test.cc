@@ -207,9 +207,6 @@ EvaluationResult EvaluateToy(const Dataset& data,
                              const EarlyClassifier& prototype) {
   EvaluationOptions options;
   options.num_folds = 2;
-  // The voting wrapper multiplies every fit by its ensemble width; skip it to
-  // keep the matrix fast.
-  options.wrap_univariate_with_voting = false;
   return CrossValidate(data, prototype, options);
 }
 

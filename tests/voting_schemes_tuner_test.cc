@@ -8,7 +8,7 @@
 
 #include "algos/ects.h"
 #include "core/tuner.h"
-#include "core/voting_schemes.h"
+#include "core/voting.h"
 #include "tests/test_util.h"
 
 namespace etsc {
@@ -59,11 +59,11 @@ Dataset ThreeVariableDataset() {
 
 class VotingSchemeTest : public ::testing::Test {
  protected:
-  std::unique_ptr<ConfigurableVotingClassifier> Make(VotingScheme scheme) {
+  std::unique_ptr<VotingEarlyClassifier> Make(VotingScheme scheme) {
     // Reset the stub counter through a fresh prototype chain.
     auto proto = std::make_unique<PatternVoter>();
     auto wrapper =
-        std::make_unique<ConfigurableVotingClassifier>(std::move(proto), scheme);
+        std::make_unique<VotingEarlyClassifier>(std::move(proto), scheme);
     return wrapper;
   }
 };
@@ -123,8 +123,7 @@ TEST_F(VotingSchemeTest, RealAlgorithmAllSchemesWork) {
        {VotingScheme::kMajorityWorstEarliness,
         VotingScheme::kMajorityMeanEarliness, VotingScheme::kEarliestVoter,
         VotingScheme::kEarlinessWeighted}) {
-    ConfigurableVotingClassifier wrapper(testing::CreateComposed("ects"),
-                                         scheme);
+    VotingEarlyClassifier wrapper(testing::CreateComposed("ects"), scheme);
     ASSERT_TRUE(wrapper.Fit(mv).ok()) << VotingSchemeName(scheme);
     EXPECT_GE(testing::EarlyAccuracy(wrapper, mv), 0.7)
         << VotingSchemeName(scheme);
