@@ -109,7 +109,7 @@ CampaignConfig CampaignConfig::FromEnv() {
          shard.c_str());
   }
   config.supervisor = SupervisorOptions::FromEnv();
-  config.fault_spec = env::StringOr("ETSC_BENCH_FAULT", "");
+  config.fault_spec = env::StringOr("ETSC_FAULT", "");
   return config;
 }
 
@@ -403,59 +403,6 @@ struct CellJob {
   double cpu_seconds = 0.0;
 };
 
-/// Wraps `classifier` in the fault decorator an ETSC_BENCH_FAULT entry
-/// requests for `algorithm`; a prototype not named in the spec passes through
-/// untouched. Entries are ALGO:KIND with an optional :k ("ECTS:flaky:2");
-/// the first matching entry wins. Unknown kinds warn and inject nothing.
-std::unique_ptr<EarlyClassifier> ApplyFaultSpec(
-    const std::string& spec, const std::string& algorithm,
-    std::unique_ptr<EarlyClassifier> classifier) {
-  for (const std::string& entry : SplitCommas(spec)) {
-    const size_t colon = entry.find(':');
-    if (colon == std::string::npos || entry.substr(0, colon) != algorithm) {
-      continue;
-    }
-    std::string kind = entry.substr(colon + 1);
-    int k = 1;
-    const size_t param = kind.find(':');
-    if (param != std::string::npos) {
-      k = std::max(1, std::atoi(kind.c_str() + param + 1));
-      kind.resize(param);
-    }
-    if (kind == "flaky") {
-      // Transient: each fold's Fit fails the first k attempts, then succeeds
-      // — recoverable with ETSC_RETRY_MAX >= k, scores identical to clean.
-      return std::make_unique<FlakyClassifier>(std::move(classifier), k);
-    }
-    if (kind == "crash") {
-      // Deterministic kInternal on every Fit: fails fast (no retry) and
-      // feeds the circuit breaker until the algorithm is quarantined.
-      FaultOptions fault;
-      fault.fit_failure_rate = 1.0;
-      return std::make_unique<FaultyClassifier>(std::move(classifier), fault);
-    }
-    if (kind == "hang-fit" || kind == "hang-predict") {
-      // Spins past its budget until the watchdog cancels (needs
-      // ETSC_WATCHDOG_GRACE > 0 and a finite budget for that operation).
-      HangOptions hang;
-      hang.hang_fit = kind == "hang-fit";
-      hang.hang_predict = kind == "hang-predict";
-      return std::make_unique<HangingClassifier>(std::move(classifier), hang);
-    }
-    if (kind == "die-at") {
-      // Abrupt process exit on this algorithm's k-th campaign cell: the
-      // journal is left exactly as a SIGKILL would leave it (possibly with a
-      // live lease row), which is what the worker-fabric crash drill needs.
-      return std::make_unique<DieAtClassifier>(std::move(classifier), k);
-    }
-    Logf(LogLevel::kWarn, "campaign",
-         "ETSC_BENCH_FAULT entry \"%s\": unknown fault kind \"%s\" (known: "
-         "flaky[:k], crash, hang-fit, hang-predict, die-at[:k])",
-         entry.c_str(), kind.c_str());
-  }
-  return classifier;
-}
-
 }  // namespace
 
 Status Campaign::GenerateDatasets(std::vector<BenchmarkDataset>* benchmarks) {
@@ -537,7 +484,7 @@ Status Campaign::Run() {
       CellJob job;
       job.benchmark = &benchmark;
       job.algorithm = algorithm;
-      job.prototype = ApplyFaultSpec(config_.fault_spec, algorithm,
+      job.prototype = WrapWithFaults(config_.fault_spec, algorithm,
                                      std::move(*prototype));
       jobs.push_back(std::move(job));
     }
@@ -842,7 +789,7 @@ Status Campaign::RunWorker(const std::string& owner,
       if (MetricsEnabled()) JournalAppends().Add(1);
       continue;
     }
-    auto classifier = ApplyFaultSpec(config_.fault_spec, gcell.algorithm,
+    auto classifier = WrapWithFaults(config_.fault_spec, gcell.algorithm,
                                      std::move(*prototype));
     TraceSpan cell_span("campaign", [&] {
       return "cell:" + gcell.algorithm + "/" + gcell.dataset;

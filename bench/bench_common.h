@@ -56,21 +56,24 @@ namespace etsc::bench {
 ///   ETSC_WATCHDOG_GRACE  supervisor knobs (core/supervisor.h): bounded Fit
 ///                        retries with deterministic backoff, per-algorithm
 ///                        circuit breaker, hung-cell watchdog
-///   ETSC_BENCH_FAULT     fault-injection spec for supervisor testing, a
-///                        comma list of ALGO:KIND entries wrapping the named
-///                        algorithm's prototype: "ECTS:flaky:1" (first k Fit
-///                        attempts fail transiently), "ECO-K:crash" (every
-///                        Fit fails deterministically), "EDSC:hang-fit" /
+///   ETSC_FAULT           fault-injection spec for supervisor testing, a
+///                        comma list of TARGET:KIND[:K] entries; an entry
+///                        naming an algorithm wraps its prototype in the
+///                        fault decorator (core/fault.h WrapWithFaults):
+///                        "ECTS:flaky:1" (first K Fit attempts fail
+///                        transiently), "ECO-K:crash" (every Fit fails
+///                        deterministically), "EDSC:hang-fit" /
 ///                        "EDSC:hang-predict" (spins until the watchdog
-///                        cancels). Excluded from Fingerprint() like the
+///                        cancels), "ECTS:die-at:2" (abrupt process exit on
+///                        the K-th cell, which makes crash drills
+///                        scriptable). A malformed entry warns and injects
+///                        nothing. Excluded from Fingerprint() like the
 ///                        shard selector — it is a harness knob, not a
 ///                        result-defining configuration... except that
 ///                        injected faults DO change the affected cells'
 ///                        results, which is why check.sh compares faulted
 ///                        campaigns against clean ones only on unaffected
-///                        algorithms. The "die-at:<k>" kind (abrupt process
-///                        exit mid-cell, core/fault.h) makes crash drills
-///                        scriptable.
+///                        algorithms.
 ///   ETSC_LEASE_TTL_MS / ETSC_HEARTBEAT_MS  worker-fabric lease knobs
 ///                        (core/fabric.h): how long an unrenewed lease
 ///                        survives and how often RunWorker renews it.
@@ -109,7 +112,7 @@ struct CampaignConfig {
   /// skipped) and so participate in Fingerprint(); base_backoff_ms and
   /// watchdog_grace only shape wall-clock behaviour and do not.
   SupervisorOptions supervisor;
-  /// Fault-injection spec (ETSC_BENCH_FAULT, see above); empty = no faults.
+  /// Fault-injection spec (ETSC_FAULT, see above); empty = no faults.
   std::string fault_spec;
 
   /// Built from defaults + environment overrides.

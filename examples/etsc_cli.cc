@@ -38,9 +38,10 @@
 //
 // Exit code 0 on success, 1 on usage/setup errors, 2 when the algorithm could
 // not train within the budget, 3 when --report-diff finds a difference, 4 when
-// --serve finds a batched/sequential divergence. ETSC_SERVE_FAULT
-// ("die-at-ingest:K" / "die-at-dispatch:K") arms a scripted crash that exits
-// with code 86 — the serving chaos drill in scripts/check.sh.
+// --serve finds a batched/sequential divergence. ETSC_FAULT
+// ("ingest:die-at:K" / "dispatch:die-at:K") arms a scripted crash that exits
+// with code 86 — the serving chaos drill in scripts/check.sh; its
+// "ALGO:KIND[:K]" entries inject campaign faults (core/fault.h).
 
 #include <sys/wait.h>
 #include <unistd.h>
@@ -120,7 +121,8 @@ void PrintUsage() {
       " K] | --arff FILE)\n"
       "                [--folds N] [--budget SECONDS] [--seed S] [--scale F]\n"
       "       etsc_cli --campaign [--shard I/N] [--max-retries N]\n"
-      "                [--quarantine-after N]    (ETSC_BENCH_* env config)\n"
+      "                [--quarantine-after N]    (ETSC_BENCH_* env config;\n"
+      "                 ETSC_FAULT=ALGO:KIND[:K] injects faults)\n"
       "       etsc_cli --campaign --classifiers A,B --triggers X,Y\n"
       "                [--cost-alpha F]   (campaign over the cross-product of\n"
       "                 composed '<base>+<trigger>' specs; names per --list)\n"
@@ -138,8 +140,8 @@ void PrintUsage() {
       "                [--wal PATH [--recover]]\n"
       "                (ETSC_SERVE_MAX_SESSIONS / _BUDGET_MS / _IDLE_MS /\n"
       "                 _SOFT_WATERMARK / _SHED_IDLE_MS / _RETRY_MS /\n"
-      "                 _WATCHDOG_GRACE / _WAL env; ETSC_SERVE_FAULT arms the\n"
-      "                 crash drill)\n");
+      "                 _WATCHDOG_GRACE / _WAL env; ETSC_FAULT=\n"
+      "                 dispatch:die-at:K arms the crash drill)\n");
 }
 
 bool ParseArgs(int argc, char** argv, CliArgs* args) {

@@ -3,7 +3,8 @@
 # equivalence check, a SIMD-vs-scalar kernel equivalence gate (ETSC_SIMD=0
 # and =1 campaigns must be bit-identical), a supervisor fault-matrix gate (injected flaky fits,
 # hung predicts and corrupted model-cache entries must leave unaffected
-# cells bit-identical to a fault-free run), a worker-fabric crash drill (a
+# cells bit-identical to a fault-free run; a malformed ETSC_FAULT entry must
+# warn and inject nothing), a worker-fabric crash drill (a
 # worker dying abruptly mid-cell must cost zero cells: the survivor steals the
 # orphaned lease and the merged report stays bit-identical), a serving-engine
 # smoke gate (batched multi-session dispatch must be bit-identical to the
@@ -84,7 +85,7 @@ trap 'rm -rf "$SHARD_DIR" "$SIMD_DIR" "$FAULT_DIR"' EXIT
          ETSC_MODEL_CACHE="$FAULT_DIR/models"
   ETSC_BENCH_ALGOS=ECTS \
     ETSC_BENCH_CACHE="$FAULT_DIR/clean.csv" ./build/examples/etsc_cli --campaign
-  ETSC_BENCH_ALGOS=ECTS,EDSC ETSC_BENCH_FAULT="ECTS:flaky:1,EDSC:crash" \
+  ETSC_BENCH_ALGOS=ECTS,EDSC ETSC_FAULT="ECTS:flaky:1,EDSC:crash" \
     ETSC_BENCH_CACHE="$FAULT_DIR/faulted.csv" ./build/examples/etsc_cli --campaign
   grep -q '"quarantined":true' "$FAULT_DIR/faulted.csv.report.json"
   test "$(grep -c '"algorithm":"ECTS"[^}]*"quarantined":true' \
@@ -95,11 +96,19 @@ trap 'rm -rf "$SHARD_DIR" "$SIMD_DIR" "$FAULT_DIR"' EXIT
 
   # Hung predictions: the watchdog (grace * predict budget) must cancel every
   # spin and the campaign must still terminate with full-length misses.
-  ETSC_BENCH_ALGOS=ECTS ETSC_BENCH_FAULT="ECTS:hang-predict" \
+  ETSC_BENCH_ALGOS=ECTS ETSC_FAULT="ECTS:hang-predict" \
     ETSC_BENCH_DATASETS=DodgerLoopGame ETSC_BENCH_PREDICT_BUDGET=0.01 \
     ETSC_WATCHDOG_GRACE=2 ETSC_MODEL_CACHE= \
     ETSC_BENCH_CACHE="$FAULT_DIR/hang.csv" ./build/examples/etsc_cli --campaign
   grep -q 'cancelled by watchdog' "$FAULT_DIR/hang.csv.report.json"
+
+  # A malformed K must warn, naming the entry, and inject nothing: the
+  # campaign completes instead of dying on its first cell as die-at:1 would.
+  ETSC_BENCH_ALGOS=ECTS ETSC_FAULT="ECTS:die-at:0" \
+    ETSC_BENCH_DATASETS=DodgerLoopGame ETSC_MODEL_CACHE= \
+    ETSC_BENCH_CACHE="$FAULT_DIR/die0.csv" ./build/examples/etsc_cli --campaign \
+    2> "$FAULT_DIR/die0.err"
+  grep -q 'ignoring invalid ETSC_FAULT entry "ECTS:die-at:0"' "$FAULT_DIR/die0.err"
 
   # Corrupted model cache: truncate every stored model, then prove a re-run
   # evicts the bad entries (logged misses, counted) and still reproduces the
@@ -133,7 +142,7 @@ trap 'rm -rf "$SHARD_DIR" "$SIMD_DIR" "$FAULT_DIR" "$FABRIC_DIR"' EXIT
 
   # w1 dies abruptly on its second cell, lease still in the journal.
   set +e
-  ETSC_WORKER_ID=w1 ETSC_BENCH_FAULT="ECTS:die-at:2" \
+  ETSC_WORKER_ID=w1 ETSC_FAULT="ECTS:die-at:2" \
     ./build/examples/etsc_cli --worker --cache "$FABRIC_DIR/fabric.csv"
   rc=$?
   set -e
@@ -211,7 +220,7 @@ echo "check.sh: serving engine batched == sequential, report emitted"
 
   # Crash mid-dispatch: observations already acknowledged are durable.
   set +e
-  ETSC_SERVE_FAULT="die-at-dispatch:5" \
+  ETSC_FAULT="dispatch:die-at:5" \
     ./build/examples/etsc_cli "${DRILL[@]}" --wal "$SERVE_DIR/crash.wal"
   rc=$?
   set -e
@@ -302,20 +311,24 @@ echo "check.sh: perfbench builds against this tree and campaign-cold matches its
 # streams, stale-format cache demotion — more attacker-shaped bytes), plus
 # the serving WAL suite (torn tails, bit-flip corruption corpus), plus the
 # shared record log under all three formats and the fabric's control-row
-# parser (record_log_test, fabric_test's FabricLease cases).
+# parser (record_log_test, fabric_test's FabricLease cases), plus the
+# ETSC_FAULT grammar and its decorator (deadline_fault_test's FaultSpecParse
+# and WrapWithFaults cases).
 cmake -B build-asan -S . -DETSC_SANITIZE=address
 cmake --build build-asan -j --target serialization_test corruption_test \
-  simd_test trigger_test serving_wal_test record_log_test fabric_test
+  simd_test trigger_test serving_wal_test record_log_test fabric_test \
+  deadline_fault_test
 ctest --test-dir build-asan --output-on-failure -j"$(nproc)" \
-  -R 'Serialization|DatasetFingerprint|Corruption|Diagnostics|Simd|Soa|Trigger|StaleFormat|GoldenEquivalence|ServingWal|ServingIngestGuard|RecordLog|FabricLease'
+  -R 'Serialization|DatasetFingerprint|Corruption|Diagnostics|Simd|Soa|Trigger|StaleFormat|GoldenEquivalence|ServingWal|ServingIngestGuard|RecordLog|FabricLease|FaultSpecParse|WrapWithFaults'
 
 # UBSan over the same hostile-input suites: bit flips love to manufacture
 # out-of-range enums, shifts and size arithmetic that ASan alone won't flag.
 cmake -B build-ubsan -S . -DETSC_SANITIZE=undefined
 cmake --build build-ubsan -j --target serialization_test corruption_test \
-  simd_test trigger_test serving_wal_test record_log_test fabric_test
+  simd_test trigger_test serving_wal_test record_log_test fabric_test \
+  deadline_fault_test
 ctest --test-dir build-ubsan --output-on-failure -j"$(nproc)" \
-  -R 'Serialization|DatasetFingerprint|Corruption|Diagnostics|Simd|Soa|Trigger|StaleFormat|GoldenEquivalence|ServingWal|ServingIngestGuard|RecordLog|FabricLease'
+  -R 'Serialization|DatasetFingerprint|Corruption|Diagnostics|Simd|Soa|Trigger|StaleFormat|GoldenEquivalence|ServingWal|ServingIngestGuard|RecordLog|FabricLease|FaultSpecParse|WrapWithFaults'
 
 # TSan, oversubscribed: only the targets whose tests exercise the pool, the
 # span/metric recording, the shared campaign journal, the model cache and the

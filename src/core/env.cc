@@ -1,7 +1,9 @@
 #include "core/env.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cstdlib>
 
 #include "core/log.h"
@@ -39,26 +41,40 @@ double NumberOr(const char* subsystem, const char* name, double fallback,
   return parsed;
 }
 
+std::optional<int64_t> ParseInteger(std::string_view text, int64_t lo,
+                                    int64_t hi) {
+  const auto space = [](char c) {
+    return std::isspace(static_cast<unsigned char>(c)) != 0;
+  };
+  while (!text.empty() && space(text.front())) text.remove_prefix(1);
+  while (!text.empty() && space(text.back())) text.remove_suffix(1);
+  // from_chars alone would accept a leading '-' and stop at a fraction's '.'.
+  if (text.empty() || !std::all_of(text.begin(), text.end(), [](char c) {
+        return std::isdigit(static_cast<unsigned char>(c)) != 0;
+      })) {
+    return std::nullopt;
+  }
+  int64_t parsed = 0;
+  if (std::from_chars(text.data(), text.data() + text.size(), parsed).ec !=
+          std::errc() ||
+      parsed < lo || parsed > hi) {
+    return std::nullopt;
+  }
+  return parsed;
+}
+
 int64_t IntegerOr(const char* subsystem, const char* name, int64_t fallback,
                   int64_t lo, int64_t hi) {
   const char* raw = std::getenv(name);
   if (raw == nullptr || *raw == '\0') return fallback;
-  const char* digits = raw;
-  while (std::isspace(static_cast<unsigned char>(*digits))) ++digits;
-  char* end = nullptr;
-  errno = 0;
-  // strtoll alone would accept a sign and stop at a fraction's '.'.
-  const long long parsed = std::isdigit(static_cast<unsigned char>(*digits))
-                               ? std::strtoll(digits, &end, 10)
-                               : 0;
-  if (end == nullptr || !OnlyTrailingSpace(end) || errno == ERANGE ||
-      parsed < lo || parsed > hi) {
+  const std::optional<int64_t> parsed = ParseInteger(raw, lo, hi);
+  if (!parsed) {
     Logf(LogLevel::kWarn, subsystem,
          "ignoring invalid %s='%s' (want an integer in [%lld, %lld])", name,
          raw, static_cast<long long>(lo), static_cast<long long>(hi));
     return fallback;
   }
-  return parsed;
+  return *parsed;
 }
 
 std::string StringOr(const char* name, const char* fallback) {

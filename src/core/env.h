@@ -2,7 +2,9 @@
 #define ETSC_CORE_ENV_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 
 namespace etsc::env {
 
@@ -16,9 +18,14 @@ namespace etsc::env {
 double NumberOr(const char* subsystem, const char* name, double fallback,
                 double lo, double hi);
 
-/// Integer knob under the same contract: decimal digits only, surrounding
-/// whitespace allowed, no sign, no fraction, no exponent; anything else (or a
-/// value outside [lo, hi]) warns and keeps the fallback.
+/// The integer rule of every ETSC_* knob: decimal digits only, surrounding
+/// whitespace allowed, no sign, no fraction, no exponent, value in [lo, hi].
+/// Anything else (overflow included) is nullopt.
+std::optional<int64_t> ParseInteger(std::string_view text, int64_t lo,
+                                    int64_t hi);
+
+/// Integer knob under the same contract: a value ParseInteger rejects warns
+/// and keeps the fallback.
 int64_t IntegerOr(const char* subsystem, const char* name, int64_t fallback,
                   int64_t lo, int64_t hi);
 

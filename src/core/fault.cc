@@ -8,10 +8,14 @@
 #include <limits>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <utility>
 
 #include "core/deadline.h"
+#include "core/env.h"
+#include "core/log.h"
+#include "core/record_log.h"
 
 namespace etsc {
 
@@ -34,6 +38,22 @@ std::atomic<int> g_serve_fault_point{-1};  // -1 disarmed, else ServeFaultPoint
 std::atomic<int> g_serve_fault_ordinal{0};
 std::atomic<int> g_serve_fault_hits[2] = {{0}, {0}};
 
+/// The first entry of the comma list `spec` whose target `wanted` accepts,
+/// parsed. An entry that fails to parse warns and yields nothing, as if no
+/// entry named the target.
+template <typename Wanted>
+std::optional<FaultSpec> FirstEntryFor(std::string_view spec, Wanted wanted) {
+  for (const std::string_view entry : record_log::SplitFields(spec)) {
+    if (!wanted(entry.substr(0, entry.find(':')))) continue;
+    Result<FaultSpec> parsed = ParseFaultSpec(entry);
+    if (parsed.ok()) return std::move(parsed).value();
+    Logf(LogLevel::kWarn, "fault", "ignoring invalid %s",
+         parsed.status().message().c_str());
+    return std::nullopt;
+  }
+  return std::nullopt;
+}
+
 }  // namespace
 
 void ArmServeFault(ServeFaultPoint point, int ordinal) {
@@ -48,34 +68,15 @@ void ArmServeFault(ServeFaultPoint point, int ordinal) {
 }
 
 void ArmServeFaultFromEnv() {
-  const char* raw = std::getenv("ETSC_SERVE_FAULT");
-  if (raw == nullptr || *raw == '\0') {
-    ArmServeFault(ServeFaultPoint::kIngest, 0);  // disarm
-    return;
-  }
-  const std::string spec(raw);
-  const auto colon = spec.rfind(':');
-  const std::string kind = colon == std::string::npos ? spec : spec.substr(0, colon);
-  int ordinal = 0;
-  if (colon != std::string::npos) {
-    char* end = nullptr;
-    const long parsed = std::strtol(spec.c_str() + colon + 1, &end, 10);
-    if (end != spec.c_str() + colon + 1 && *end == '\0' && parsed > 0 &&
-        parsed < 1000000000L) {
-      ordinal = static_cast<int>(parsed);
-    }
-  }
-  if (ordinal > 0 && kind == "die-at-ingest") {
-    ArmServeFault(ServeFaultPoint::kIngest, ordinal);
-  } else if (ordinal > 0 && kind == "die-at-dispatch") {
-    ArmServeFault(ServeFaultPoint::kDispatch, ordinal);
-  } else {
-    std::fprintf(stderr,
-                 "[fault] ignoring invalid ETSC_SERVE_FAULT='%s' (want "
-                 "die-at-ingest:K or die-at-dispatch:K)\n",
-                 raw);
-    ArmServeFault(ServeFaultPoint::kIngest, 0);  // disarm
-  }
+  const std::optional<FaultSpec> fault =
+      FirstEntryFor(env::StringOr("ETSC_FAULT", ""), [](std::string_view t) {
+        return t == "ingest" || t == "dispatch";
+      });
+  // No serving entry, or a malformed one, disarms (ordinal 0).
+  ArmServeFault(fault && fault->target == "dispatch"
+                    ? ServeFaultPoint::kDispatch
+                    : ServeFaultPoint::kIngest,
+                fault ? fault->k : 0);
 }
 
 void ServeFaultTick(ServeFaultPoint point) {
@@ -127,156 +128,14 @@ void BurnWallClock(double seconds) {
 
 FaultyClassifier::FaultyClassifier(std::unique_ptr<EarlyClassifier> inner,
                                    FaultOptions options)
-    : inner_(std::move(inner)), options_(options), rng_(options.seed) {
-  ETSC_CHECK(inner_ != nullptr);
-}
-
-Status FaultyClassifier::Fit(const Dataset& train) {
-  inner_->set_train_budget_seconds(train_budget_seconds());
-  inner_->set_predict_budget_seconds(predict_budget_seconds());
-  const Deadline deadline = TrainDeadline();
-  BurnWallClock(options_.fit_delay_seconds);
-  ETSC_RETURN_NOT_OK(deadline.Check(name() + ": train budget exceeded"));
-  if (options_.fit_failure_rate > 0.0 &&
-      rng_.Bernoulli(options_.fit_failure_rate)) {
-    return Status::Internal(name() + ": injected fit failure");
-  }
-  return inner_->Fit(train);
-}
-
-Result<EarlyPrediction> FaultyClassifier::PredictEarly(
-    const TimeSeries& series) const {
-  const Deadline deadline = PredictDeadline();
-  BurnWallClock(options_.predict_delay_seconds);
-  ETSC_RETURN_NOT_OK(deadline.Check(name() + ": predict budget exceeded"));
-  // One draw decides the injected outcome so the fault stream stays aligned
-  // with the call sequence regardless of which rates are enabled.
-  const double u = rng_.Uniform();
-  if (u < options_.predict_failure_rate) {
-    return Status::Internal(name() + ": injected predict failure");
-  }
-  if (u < options_.predict_failure_rate + options_.garbage_prediction_rate) {
-    return EarlyPrediction{std::numeric_limits<int>::max(),
-                           series.length() * 2 + 1};
-  }
-  return inner_->PredictEarly(series);
-}
-
-std::string FaultyClassifier::name() const { return "faulty-" + inner_->name(); }
-
-bool FaultyClassifier::SupportsMultivariate() const {
-  return inner_->SupportsMultivariate();
-}
-
-std::unique_ptr<EarlyClassifier> FaultyClassifier::CloneUntrained() const {
-  return std::make_unique<FaultyClassifier>(inner_->CloneUntrained(), options_);
-}
-
-FlakyClassifier::FlakyClassifier(std::unique_ptr<EarlyClassifier> inner,
-                                 int failures_before_success)
     : inner_(std::move(inner)),
-      failures_before_success_(failures_before_success) {
+      options_(options),
+      rng_(options.seed),
+      cell_ordinal_(std::make_shared<std::atomic<int>>(0)) {
   ETSC_CHECK(inner_ != nullptr);
 }
 
-Status FlakyClassifier::Fit(const Dataset& train) {
-  inner_->set_train_budget_seconds(train_budget_seconds());
-  inner_->set_predict_budget_seconds(predict_budget_seconds());
-  if (failed_attempts_ < failures_before_success_) {
-    ++failed_attempts_;
-    return Status::Unavailable(name() + ": injected flaky fit failure (attempt " +
-                               std::to_string(failed_attempts_) + " of " +
-                               std::to_string(failures_before_success_) +
-                               " doomed)");
-  }
-  return inner_->Fit(train);
-}
-
-Result<EarlyPrediction> FlakyClassifier::PredictEarly(
-    const TimeSeries& series) const {
-  return inner_->PredictEarly(series);
-}
-
-std::string FlakyClassifier::name() const { return "flaky-" + inner_->name(); }
-
-bool FlakyClassifier::SupportsMultivariate() const {
-  return inner_->SupportsMultivariate();
-}
-
-std::unique_ptr<EarlyClassifier> FlakyClassifier::CloneUntrained() const {
-  // Fresh clone, fresh attempt counter: each fold's retry history is its own.
-  return std::make_unique<FlakyClassifier>(inner_->CloneUntrained(),
-                                           failures_before_success_);
-}
-
-HangingClassifier::HangingClassifier(std::unique_ptr<EarlyClassifier> inner,
-                                     HangOptions options)
-    : inner_(std::move(inner)), options_(options) {
-  ETSC_CHECK(inner_ != nullptr);
-}
-
-Status HangingClassifier::Hang(const char* op) const {
-  // The bug being modelled: the implementation ignores its real budget (it
-  // polls an infinite deadline) yet still runs the framework's cooperative
-  // checks, so only a CancelToken cancellation can reach it.
-  const Deadline unbudgeted = Deadline::Infinite();
-  const Deadline safety = Deadline::After(options_.max_seconds);
-  volatile uint64_t sink = 0;
-  while (!unbudgeted.CheckEvery(1)) {
-    for (int i = 0; i < 1000; ++i) sink = sink + static_cast<uint64_t>(i);
-    if (safety.Expired() && !CancellationRequested()) {
-      return Status::Internal(name() + std::string(": ") + op +
-                              " hang hit the " +
-                              std::to_string(options_.max_seconds) +
-                              "s safety valve without a watchdog cancellation");
-    }
-  }
-  return Status::DeadlineExceeded(name() + std::string(": ") + op +
-                                  " hang cancelled by watchdog");
-}
-
-Status HangingClassifier::Fit(const Dataset& train) {
-  inner_->set_train_budget_seconds(train_budget_seconds());
-  inner_->set_predict_budget_seconds(predict_budget_seconds());
-  if (options_.hang_fit) return Hang("fit");
-  return inner_->Fit(train);
-}
-
-Result<EarlyPrediction> HangingClassifier::PredictEarly(
-    const TimeSeries& series) const {
-  if (options_.hang_predict) return Hang("predict");
-  return inner_->PredictEarly(series);
-}
-
-std::string HangingClassifier::name() const {
-  return "hanging-" + inner_->name();
-}
-
-bool HangingClassifier::SupportsMultivariate() const {
-  return inner_->SupportsMultivariate();
-}
-
-std::unique_ptr<EarlyClassifier> HangingClassifier::CloneUntrained() const {
-  return std::make_unique<HangingClassifier>(inner_->CloneUntrained(), options_);
-}
-
-DieAtClassifier::DieAtClassifier(std::unique_ptr<EarlyClassifier> inner,
-                                 int die_at_cell)
-    : DieAtClassifier(std::move(inner), die_at_cell,
-                      std::make_shared<std::atomic<int>>(0)) {}
-
-DieAtClassifier::DieAtClassifier(std::unique_ptr<EarlyClassifier> inner,
-                                 int die_at_cell,
-                                 std::shared_ptr<std::atomic<int>> cell_ordinal)
-    : inner_(std::move(inner)),
-      die_at_cell_(die_at_cell),
-      cell_ordinal_(std::move(cell_ordinal)) {
-  ETSC_CHECK(inner_ != nullptr);
-}
-
-Status DieAtClassifier::Fit(const Dataset& train) {
-  inner_->set_train_budget_seconds(train_budget_seconds());
-  inner_->set_predict_budget_seconds(predict_budget_seconds());
+void FaultyClassifier::DieAtCell() {
   int ordinal = cell_ordinal_->load(std::memory_order_acquire);
   if (ordinal == 0) {
     // First Fit of this wrap: claim the cell ordinal. Folds racing on the
@@ -290,34 +149,161 @@ Status DieAtClassifier::Fit(const Dataset& train) {
       ordinal = expected;
     }
   }
-  if (ordinal == die_at_cell_) {
+  if (ordinal == options_.die_at_cell) {
     std::fprintf(stderr,
                  "[fault] %s: die-at fault on cell #%d — exiting abruptly "
                  "(code %d), journal left as a crash would\n",
                  name().c_str(), ordinal, kDieAtExitCode);
     std::_Exit(kDieAtExitCode);
   }
+}
+
+Status FaultyClassifier::Hang(const char* op) const {
+  // The bug being modelled: the implementation ignores its real budget (it
+  // polls an infinite deadline) yet still runs the framework's cooperative
+  // checks, so only a CancelToken cancellation can reach it.
+  const Deadline unbudgeted = Deadline::Infinite();
+  const Deadline safety = Deadline::After(options_.hang_max_seconds);
+  volatile uint64_t sink = 0;
+  while (!unbudgeted.CheckEvery(1)) {
+    for (int i = 0; i < 1000; ++i) sink = sink + static_cast<uint64_t>(i);
+    if (safety.Expired() && !CancellationRequested()) {
+      return Status::Internal(name() + std::string(": ") + op +
+                              " hang hit the " +
+                              std::to_string(options_.hang_max_seconds) +
+                              "s safety valve without a watchdog cancellation");
+    }
+  }
+  return Status::DeadlineExceeded(name() + std::string(": ") + op +
+                                  " hang cancelled by watchdog");
+}
+
+Status FaultyClassifier::Fit(const Dataset& train) {
+  inner_->set_train_budget_seconds(train_budget_seconds());
+  inner_->set_predict_budget_seconds(predict_budget_seconds());
+  if (options_.die_at_cell > 0) DieAtCell();
+  if (failed_attempts_ < options_.flaky_fit_failures) {
+    ++failed_attempts_;
+    return Status::Unavailable(name() + ": injected flaky fit failure (attempt " +
+                               std::to_string(failed_attempts_) + " of " +
+                               std::to_string(options_.flaky_fit_failures) +
+                               " doomed)");
+  }
+  if (options_.fit_delay_seconds > 0.0 || options_.fit_failure_rate > 0.0) {
+    const Deadline deadline = TrainDeadline();
+    BurnWallClock(options_.fit_delay_seconds);
+    ETSC_RETURN_NOT_OK(deadline.Check(name() + ": train budget exceeded"));
+    if (options_.fit_failure_rate > 0.0 &&
+        rng_.Bernoulli(options_.fit_failure_rate)) {
+      return Status::Internal(name() + ": injected fit failure");
+    }
+  }
+  if (options_.hang_fit) return Hang("fit");
   return inner_->Fit(train);
 }
 
-Result<EarlyPrediction> DieAtClassifier::PredictEarly(
+Result<EarlyPrediction> FaultyClassifier::PredictEarly(
     const TimeSeries& series) const {
+  const bool draws = options_.predict_failure_rate > 0.0 ||
+                     options_.garbage_prediction_rate > 0.0;
+  if (draws || options_.predict_delay_seconds > 0.0) {
+    const Deadline deadline = PredictDeadline();
+    BurnWallClock(options_.predict_delay_seconds);
+    ETSC_RETURN_NOT_OK(deadline.Check(name() + ": predict budget exceeded"));
+  }
+  if (draws) {
+    // One draw decides the injected outcome so the fault stream stays aligned
+    // with the call sequence regardless of which rates are enabled.
+    const double u = rng_.Uniform();
+    if (u < options_.predict_failure_rate) {
+      return Status::Internal(name() + ": injected predict failure");
+    }
+    if (u < options_.predict_failure_rate + options_.garbage_prediction_rate) {
+      return EarlyPrediction{std::numeric_limits<int>::max(),
+                             series.length() * 2 + 1};
+    }
+  }
+  if (options_.hang_predict) return Hang("predict");
   return inner_->PredictEarly(series);
 }
 
-std::string DieAtClassifier::name() const {
-  return "die-at-" + inner_->name();
-}
+std::string FaultyClassifier::name() const { return "faulty-" + inner_->name(); }
 
-bool DieAtClassifier::SupportsMultivariate() const {
+bool FaultyClassifier::SupportsMultivariate() const {
   return inner_->SupportsMultivariate();
 }
 
-std::unique_ptr<EarlyClassifier> DieAtClassifier::CloneUntrained() const {
-  // Clones share the ordinal cell counter: a CV fold's clone belongs to the
-  // same campaign cell as its prototype.
-  return std::unique_ptr<EarlyClassifier>(new DieAtClassifier(
-      inner_->CloneUntrained(), die_at_cell_, cell_ordinal_));
+std::unique_ptr<EarlyClassifier> FaultyClassifier::CloneUntrained() const {
+  // Fresh flaky counter and Rng: each fold's fault history is its own. The
+  // shared ordinal: a CV fold's clone belongs to its prototype's cell.
+  auto clone =
+      std::make_unique<FaultyClassifier>(inner_->CloneUntrained(), options_);
+  clone->cell_ordinal_ = cell_ordinal_;
+  return clone;
+}
+
+Result<FaultSpec> ParseFaultSpec(std::string_view entry) {
+  const auto invalid = [entry](const std::string& why) {
+    return Status::InvalidArgument("ETSC_FAULT entry \"" + std::string(entry) +
+                                   "\": " + why);
+  };
+  const size_t colon = entry.find(':');
+  if (colon == 0 || colon == std::string_view::npos) {
+    return invalid("want TARGET:KIND[:K]");
+  }
+  FaultSpec spec;
+  spec.target = std::string(entry.substr(0, colon));
+  std::string_view kind = entry.substr(colon + 1);
+  const size_t param = kind.find(':');
+  const std::string_view k =
+      param == std::string_view::npos ? "" : kind.substr(param + 1);
+  kind = kind.substr(0, param);
+  const bool serving = spec.target == "ingest" || spec.target == "dispatch";
+  const bool takes_k = kind == "die-at" || (!serving && kind == "flaky");
+  const bool known = takes_k || (!serving && (kind == "crash" ||
+                                              kind == "hang-fit" ||
+                                              kind == "hang-predict"));
+  if (!known) {
+    return invalid("unknown fault kind \"" + std::string(kind) + "\" (known: " +
+                   (serving ? "die-at[:K])"
+                            : "flaky[:K], crash, hang-fit, hang-predict, "
+                              "die-at[:K])"));
+  }
+  if (param != std::string_view::npos) {
+    if (!takes_k) return invalid(std::string(kind) + " takes no :K");
+    const std::optional<int64_t> parsed = env::ParseInteger(k, 1, 1000000000);
+    if (!parsed) return invalid("K must be an integer in [1, 1000000000]");
+    spec.k = static_cast<int>(*parsed);
+  }
+  spec.kind = std::string(kind);
+  return spec;
+}
+
+std::unique_ptr<EarlyClassifier> WrapWithFaults(
+    std::string_view spec, const std::string& algorithm,
+    std::unique_ptr<EarlyClassifier> classifier) {
+  const std::optional<FaultSpec> fault = FirstEntryFor(
+      spec, [&algorithm](std::string_view t) { return t == algorithm; });
+  if (!fault) return classifier;
+  FaultOptions options;
+  if (fault->kind == "flaky") {
+    // Transient: each fold's Fit fails the first k attempts, then succeeds
+    // — recoverable with ETSC_RETRY_MAX >= k, scores identical to clean.
+    options.flaky_fit_failures = fault->k;
+  } else if (fault->kind == "crash") {
+    // Deterministic kInternal on every Fit: fails fast (no retry) and
+    // feeds the circuit breaker until the algorithm is quarantined.
+    options.fit_failure_rate = 1.0;
+  } else if (fault->kind == "die-at") {
+    // Abrupt process exit on this algorithm's k-th campaign cell: the
+    // journal is left exactly as a SIGKILL would leave it (possibly with a
+    // live lease row), which is what the worker-fabric crash drill needs.
+    options.die_at_cell = fault->k;
+  } else {
+    options.hang_fit = fault->kind == "hang-fit";
+    options.hang_predict = fault->kind == "hang-predict";
+  }
+  return std::make_unique<FaultyClassifier>(std::move(classifier), options);
 }
 
 Dataset InjectMissingValues(const Dataset& source, double rate, uint64_t seed) {

@@ -504,12 +504,14 @@ TEST(DieAtDrill, ExitsTheProcessAbruptlyOnTheConfiguredCell) {
         Dataset train;
         // First wrap = first campaign cell of "stub": survives die-at:2,
         // and its fold clones share the ordinal (one cell, many Fits).
-        DieAtClassifier first(std::make_unique<StubClassifier>(), 2);
+        FaultyClassifier first(std::make_unique<StubClassifier>(),
+                               {.die_at_cell = 2});
         if (!first.Fit(train).ok()) std::_Exit(1);
         auto clone = first.CloneUntrained();
         if (!clone->Fit(train).ok()) std::_Exit(1);
         // Second wrap = second cell: dies mid-Fit, no flushes, no atexit.
-        DieAtClassifier second(std::make_unique<StubClassifier>(), 2);
+        FaultyClassifier second(std::make_unique<StubClassifier>(),
+                                {.die_at_cell = 2});
         (void)second.Fit(train);
         std::_Exit(1);  // unreachable when the fault fires
       },

@@ -551,7 +551,7 @@ TEST(ServingFaultDeathTest, DieAtDispatchExitsWithTheFaultCode) {
 TEST(ServingFaultDeathTest, ArmServeFaultFromEnvParsesTheDrillSpec) {
   EXPECT_EXIT(
       {
-        setenv("ETSC_SERVE_FAULT", "die-at-ingest:1", 1);
+        setenv("ETSC_FAULT", "ingest:die-at:1", 1);
         ArmServeFaultFromEnv();
         ServingEngine engine;
         (void)engine.RegisterModel("m", std::make_shared<FixedNeed>(2), 1);
@@ -562,9 +562,9 @@ TEST(ServingFaultDeathTest, ArmServeFaultFromEnvParsesTheDrillSpec) {
 }
 
 TEST(ServingFault, GarbageFaultSpecDisarms) {
-  setenv("ETSC_SERVE_FAULT", "die-at-lunch:banana", 1);
+  setenv("ETSC_FAULT", "dispatch:die-at:banana", 1);
   ArmServeFaultFromEnv();
-  unsetenv("ETSC_SERVE_FAULT");
+  unsetenv("ETSC_FAULT");
   ServingEngine engine;
   ASSERT_TRUE(
       engine.RegisterModel("m", std::make_shared<FixedNeed>(2), 1).ok());
@@ -577,11 +577,10 @@ TEST(ServingFault, GarbageFaultSpecDisarms) {
 }
 
 TEST(ServingFault, HangingModelIsCancelledByTheWatchdog) {
-  HangOptions hang;
-  hang.hang_predict = true;
-  hang.max_seconds = 10.0;  // safety valve if the watchdog is broken
-  auto hanging = std::make_shared<HangingClassifier>(
-      std::make_unique<FixedNeed>(1), hang);
+  // hang_max_seconds is the safety valve if the watchdog is broken.
+  auto hanging = std::make_shared<FaultyClassifier>(
+      std::make_unique<FixedNeed>(1),
+      FaultOptions{.hang_predict = true, .hang_max_seconds = 10.0});
   ServingOptions options;
   options.session_budget_seconds = 0.05;
   options.watchdog_grace = 2.0;  // cancel at ~0.1s

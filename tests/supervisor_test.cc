@@ -255,7 +255,8 @@ TEST(Retry, FlakyFitRecoversWithBitIdenticalScores) {
   const EvaluationResult baseline = CrossValidate(data, clean, RetryOptions(0));
   ASSERT_TRUE(baseline.trained());
 
-  FlakyClassifier flaky(std::make_unique<MajorityClassifier>(), 1);
+  FaultyClassifier flaky(std::make_unique<MajorityClassifier>(),
+                         {.flaky_fit_failures = 1});
   const EvaluationResult retried = CrossValidate(data, flaky, RetryOptions(1));
   ASSERT_TRUE(retried.trained());
   ASSERT_EQ(retried.folds.size(), baseline.folds.size());
@@ -272,7 +273,8 @@ TEST(Retry, FlakyFitRecoversWithBitIdenticalScores) {
 
 TEST(Retry, ExhaustedRetriesRecordTheTransientFailure) {
   const Dataset data = testing::MakeToyDataset(8, 16);
-  FlakyClassifier flaky(std::make_unique<MajorityClassifier>(), 3);
+  FaultyClassifier flaky(std::make_unique<MajorityClassifier>(),
+                         {.flaky_fit_failures = 3});
   const EvaluationResult result = CrossValidate(data, flaky, RetryOptions(1));
   ASSERT_FALSE(result.folds.empty());
   EXPECT_FALSE(result.folds[0].trained);
@@ -299,7 +301,8 @@ TEST(Retry, BitIdenticalAcrossThreadPoolWidths) {
   std::vector<EvaluationResult> results;
   for (const size_t width : {size_t{1}, size_t{8}}) {
     SetMaxParallelism(width);
-    FlakyClassifier flaky(std::make_unique<MajorityClassifier>(), 1);
+    FaultyClassifier flaky(std::make_unique<MajorityClassifier>(),
+                           {.flaky_fit_failures = 1});
     EvaluationOptions options = RetryOptions(1);
     options.num_folds = 4;
     results.push_back(CrossValidate(data, flaky, options));
@@ -323,9 +326,8 @@ TEST(Retry, BitIdenticalAcrossThreadPoolWidths) {
 
 TEST(WatchdogTest, CancelsAHungFit) {
   const Dataset data = testing::MakeToyDataset(6, 12);
-  HangOptions hang;
-  hang.hang_fit = true;
-  HangingClassifier hung(std::make_unique<MajorityClassifier>(), hang);
+  FaultyClassifier hung(std::make_unique<MajorityClassifier>(),
+                        {.hang_fit = true});
 
   EvaluationOptions options;
   options.num_folds = 2;
@@ -342,9 +344,8 @@ TEST(WatchdogTest, CancelsAHungFit) {
 
 TEST(WatchdogTest, HungPredictionsDegradeToFullLengthMisses) {
   const Dataset data = testing::MakeToyDataset(6, 12);
-  HangOptions hang;
-  hang.hang_predict = true;
-  HangingClassifier hung(std::make_unique<MajorityClassifier>(), hang);
+  FaultyClassifier hung(std::make_unique<MajorityClassifier>(),
+                        {.hang_predict = true});
 
   EvaluationOptions options;
   options.num_folds = 2;
