@@ -17,6 +17,7 @@
 #include <cstdlib>
 #include <limits>
 #include <numbers>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -66,7 +67,8 @@ void BM_SfaWord(benchmark::State& state) {
     labels[i] = static_cast<int>(i % 2);
   }
   etsc::Sfa sfa;
-  (void)sfa.Fit(windows, labels);
+  const std::vector<std::span<const double>> views(windows.begin(), windows.end());
+  (void)sfa.Fit(views, 32, labels);
   for (auto _ : state) {
     benchmark::DoNotOptimize(sfa.Word(windows[0]));
   }
@@ -394,15 +396,15 @@ void FrozenMiniRocketApply(const std::vector<double>& pooled,
   }
 }
 
-std::vector<std::vector<double>> FrozenSlidingDft(
+std::vector<double> FrozenSlidingDft(
     const std::vector<double>& series, size_t window_size,
     size_t num_coefficients, bool drop_first) {
-  std::vector<std::vector<double>> out;
+  std::vector<double> out;
   if (window_size == 0 || series.size() < window_size || num_coefficients == 0) {
     return out;
   }
   const size_t num_windows = series.size() - window_size + 1;
-  out.reserve(num_windows);
+  out.reserve(num_windows * 2 * num_coefficients);
   const size_t first = drop_first ? 1 : 0;
   const double inv_n = 1.0 / static_cast<double>(window_size);
   std::vector<double> re(num_coefficients, 0.0), im(num_coefficients, 0.0);
@@ -416,13 +418,10 @@ std::vector<std::vector<double>> FrozenSlidingDft(
     }
   }
   auto emit = [&]() {
-    std::vector<double> coeffs;
-    coeffs.reserve(2 * num_coefficients);
     for (size_t k = 0; k < num_coefficients; ++k) {
-      coeffs.push_back(re[k] * inv_n);
-      coeffs.push_back(im[k] * inv_n);
+      out.push_back(re[k] * inv_n);
+      out.push_back(im[k] * inv_n);
     }
-    out.push_back(std::move(coeffs));
   };
   emit();
   for (size_t s = 1; s < num_windows; ++s) {

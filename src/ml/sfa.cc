@@ -23,58 +23,54 @@ double LabelEntropy(const std::vector<int>& labels) {
 
 namespace {
 
-// Entropy of labels in data[begin, end).
-double RangeEntropy(const std::vector<std::pair<double, int>>& data,
-                    size_t begin, size_t end) {
-  std::map<int, size_t> counts;
-  for (size_t i = begin; i < end; ++i) ++counts[data[i].second];
-  double entropy = 0.0;
-  const double n = static_cast<double>(end - begin);
-  for (const auto& [label, count] : counts) {
-    const double p = static_cast<double>(count) / n;
-    entropy -= p * std::log(p);
+// Entropy of a label histogram over n elements. `counts` is indexed by
+// ascending label rank and zero counts are skipped, so the terms are summed in
+// the same order as over a std::map<label, count> of the non-empty labels.
+double CountsEntropy(const std::vector<size_t>& counts, double n) {
+  double e = 0.0;
+  for (size_t c : counts) {
+    if (c == 0) continue;
+    const double p = static_cast<double>(c) / n;
+    e -= p * std::log(p);
   }
-  return entropy;
+  return e;
 }
 
-// Finds the single best IG split of data[begin, end); returns the split index
-// (first element of the right part) or begin when no valid split exists.
+// Finds the single best IG split of data[begin, end), whose labels are ranks
+// below left->size(); returns the split index (first element of the right
+// part) or begin when no valid split exists. `left`/`right` are scratch
+// histograms.
 size_t BestBinarySplit(const std::vector<std::pair<double, int>>& data,
-                       size_t begin, size_t end) {
+                       size_t begin, size_t end, std::vector<size_t>* left,
+                       std::vector<size_t>* right) {
+  std::fill(left->begin(), left->end(), 0);
+  std::fill(right->begin(), right->end(), 0);
+  for (size_t i = begin; i < end; ++i) ++(*right)[data[i].second];
   const double total = static_cast<double>(end - begin);
-  const double parent = RangeEntropy(data, begin, end);
+  const double parent = CountsEntropy(*right, total);
   double best_gain = 1e-12;
   size_t best_split = begin;
-  std::map<int, size_t> left_counts;
-  std::map<int, size_t> right_counts;
-  for (size_t i = begin; i < end; ++i) ++right_counts[data[i].second];
-
-  auto entropy_of = [](const std::map<int, size_t>& counts, double n) {
-    double e = 0.0;
-    for (const auto& [label, c] : counts) {
-      if (c == 0) continue;
-      const double p = static_cast<double>(c) / n;
-      e -= p * std::log(p);
-    }
-    return e;
-  };
-
   for (size_t i = begin; i + 1 < end; ++i) {
-    ++left_counts[data[i].second];
-    auto it = right_counts.find(data[i].second);
-    --it->second;
+    ++(*left)[data[i].second];
+    --(*right)[data[i].second];
     // Can only split between distinct values.
     if (data[i].first == data[i + 1].first) continue;
     const double n_left = static_cast<double>(i + 1 - begin);
     const double n_right = total - n_left;
-    const double gain = parent - (n_left / total) * entropy_of(left_counts, n_left) -
-                        (n_right / total) * entropy_of(right_counts, n_right);
+    const double gain = parent - (n_left / total) * CountsEntropy(*left, n_left) -
+                        (n_right / total) * CountsEntropy(*right, n_right);
     if (gain > best_gain) {
       best_gain = gain;
       best_split = i + 1;
     }
   }
   return best_split;
+}
+
+size_t BitsPerSymbol(size_t alphabet_size) {
+  size_t bits = 1;
+  while ((size_t{1} << bits) < alphabet_size) ++bits;
+  return bits;
 }
 
 }  // namespace
@@ -100,35 +96,53 @@ std::vector<double> InformationGainBins(std::vector<std::pair<double, int>> data
                                         size_t num_bins) {
   std::vector<double> bounds;
   if (num_bins < 2 || data.size() < 2) return bounds;
+  // Replace labels by their ascending rank so split histograms are dense
+  // arrays; the rank order keeps the sort order and the entropy term order.
+  std::vector<int> classes;
+  for (const auto& [v, y] : data) {
+    auto it = std::lower_bound(classes.begin(), classes.end(), y);
+    if (it == classes.end() || *it != y) classes.insert(it, y);
+  }
+  for (auto& [v, y] : data) {
+    y = static_cast<int>(std::lower_bound(classes.begin(), classes.end(), y) -
+                         classes.begin());
+  }
   std::sort(data.begin(), data.end());
+  std::vector<size_t> left(classes.size()), right(classes.size());
 
-  // Greedy recursive splitting: repeatedly split the segment whose best split
-  // yields the highest gain until we have num_bins segments.
+  // Greedy recursive splitting: repeatedly split the largest segment that has
+  // an informative split until we have num_bins segments. A segment's best
+  // split depends only on its range, so it is searched once, when a round
+  // first needs it.
   struct Segment {
     size_t begin, end;
+    bool searched = false;
+    size_t split = 0;  // == begin: no valid split
   };
   std::vector<Segment> segments{{0, data.size()}};
   while (segments.size() < num_bins) {
     bool split_done = false;
-    size_t best_seg = 0, best_at = 0;
-    double best_len = 0;  // prefer splitting larger segments on gain ties
+    size_t best_seg = 0;
+    double best_len = 0;
     for (size_t s = 0; s < segments.size(); ++s) {
-      const auto& seg = segments[s];
+      auto& seg = segments[s];
       if (seg.end - seg.begin < 2) continue;
-      const size_t at = BestBinarySplit(data, seg.begin, seg.end);
-      if (at == seg.begin) continue;
+      if (!seg.searched) {
+        seg.split = BestBinarySplit(data, seg.begin, seg.end, &left, &right);
+        seg.searched = true;
+      }
+      if (seg.split == seg.begin) continue;
       const double len = static_cast<double>(seg.end - seg.begin);
       if (!split_done || len > best_len) {
         split_done = true;
         best_seg = s;
-        best_at = at;
         best_len = len;
       }
     }
     if (!split_done) break;
-    Segment right{best_at, segments[best_seg].end};
-    segments[best_seg].end = best_at;
-    segments.push_back(right);
+    const Segment parent = segments[best_seg];
+    segments[best_seg] = Segment{parent.begin, parent.split};
+    segments.push_back(Segment{parent.split, parent.end});
   }
 
   for (const auto& seg : segments) {
@@ -156,43 +170,65 @@ std::vector<double> InformationGainBins(std::vector<std::pair<double, int>> data
   return bounds;
 }
 
-Status Sfa::Fit(const std::vector<std::vector<double>>& windows,
-                const std::vector<int>& labels) {
-  if (windows.empty()) return Status::InvalidArgument("Sfa::Fit: no windows");
+Status Sfa::Fit(std::span<const std::span<const double>> series,
+                size_t window_size, std::span<const int> labels) {
+  size_t num_windows = 0;
+  if (window_size > 0) {
+    for (std::span<const double> values : series) {
+      if (values.size() >= window_size) num_windows += values.size() - window_size + 1;
+    }
+  }
+  if (num_windows == 0) return Status::InvalidArgument("Sfa::Fit: no windows");
   const bool supervised = options_.binning == SfaBinning::kInformationGain;
-  if (supervised && labels.size() != windows.size()) {
+  if (supervised && labels.size() != series.size()) {
     return Status::InvalidArgument(
-        "Sfa::Fit: information-gain binning needs one label per window");
+        "Sfa::Fit: information-gain binning needs one label per series");
   }
   if (options_.alphabet_size < 2 || options_.alphabet_size > 256) {
     return Status::InvalidArgument("Sfa::Fit: alphabet_size out of range");
   }
-  bits_per_symbol_ = 1;
-  while ((1u << bits_per_symbol_) < options_.alphabet_size) ++bits_per_symbol_;
-  if (bits_per_symbol_ * options_.word_length > 63) {
+  bits_per_symbol_ = BitsPerSymbol(options_.alphabet_size);
+  if (options_.word_length > 63 / bits_per_symbol_) {
     return Status::InvalidArgument("Sfa::Fit: word does not fit in 64 bits");
   }
 
-  // Approximate every training window.
-  std::vector<std::vector<double>> approx(windows.size());
-  for (size_t i = 0; i < windows.size(); ++i) {
-    approx[i] = Approximate(windows[i]);
+  // Approximate every training window with one DFT basis, position-major:
+  // approx[pos * num_windows + i] is value `pos` of window i, so each
+  // position's values are contiguous for binning.
+  const size_t word_length = options_.word_length;
+  const DftBasis basis(window_size, (word_length + 1) / 2, options_.norm_mean);
+  const size_t row = basis.row_size();
+  std::vector<double> approx(word_length * num_windows);
+  std::vector<int> window_labels;
+  if (supervised) window_labels.reserve(num_windows);
+  std::vector<double> rows;
+  size_t i = 0;
+  for (size_t j = 0; j < series.size(); ++j) {
+    if (series[j].size() < window_size) continue;
+    const size_t count = series[j].size() - window_size + 1;
+    rows.resize(count * row);
+    basis.Coefficients(series[j].data(), count, rows.data());
+    for (size_t s = 0; s < count; ++s) {
+      for (size_t pos = 0; pos < word_length; ++pos) {
+        approx[pos * num_windows + i + s] = rows[s * row + pos];
+      }
+    }
+    if (supervised) window_labels.insert(window_labels.end(), count, labels[j]);
+    i += count;
   }
 
-  bins_.assign(options_.word_length, {});
-  for (size_t pos = 0; pos < options_.word_length; ++pos) {
+  bins_.assign(word_length, {});
+  for (size_t pos = 0; pos < word_length; ++pos) {
+    const double* values = &approx[pos * num_windows];
     if (supervised) {
-      std::vector<std::pair<double, int>> data;
-      data.reserve(windows.size());
-      for (size_t i = 0; i < windows.size(); ++i) {
-        data.emplace_back(approx[i][pos], labels[i]);
+      std::vector<std::pair<double, int>> data(num_windows);
+      for (size_t w = 0; w < num_windows; ++w) {
+        data[w] = {values[w], window_labels[w]};
       }
       bins_[pos] = InformationGainBins(std::move(data), options_.alphabet_size);
     } else {
-      std::vector<double> values;
-      values.reserve(windows.size());
-      for (size_t i = 0; i < windows.size(); ++i) values.push_back(approx[i][pos]);
-      bins_[pos] = EquiDepthBins(std::move(values), options_.alphabet_size);
+      bins_[pos] = EquiDepthBins(std::vector<double>(values, values + num_windows),
+                                 options_.alphabet_size);
     }
   }
   return Status::OK();
@@ -207,21 +243,21 @@ std::vector<double> Sfa::Approximate(const std::vector<double>& window) const {
   return coeffs;
 }
 
-uint64_t Sfa::WordFromApproximation(const std::vector<double>& approx) const {
+uint64_t Sfa::WordFromApproximation(const double* approx) const {
   ETSC_DCHECK(fitted());
   uint64_t word = 0;
   for (size_t pos = 0; pos < options_.word_length; ++pos) {
-    const double v = pos < approx.size() ? approx[pos] : 0.0;
     const auto& bounds = bins_[pos];
     const size_t symbol = static_cast<size_t>(
-        std::upper_bound(bounds.begin(), bounds.end(), v) - bounds.begin());
+        std::upper_bound(bounds.begin(), bounds.end(), approx[pos]) -
+        bounds.begin());
     word |= static_cast<uint64_t>(symbol) << (pos * bits_per_symbol_);
   }
   return word;
 }
 
 uint64_t Sfa::Word(const std::vector<double>& window) const {
-  return WordFromApproximation(Approximate(window));
+  return WordFromApproximation(Approximate(window).data());
 }
 
 void Sfa::SaveState(Serializer& out) const {
@@ -249,9 +285,19 @@ Status Sfa::LoadState(Deserializer& in) {
   options_.binning = static_cast<SfaBinning>(binning);
   ETSC_ASSIGN_OR_RETURN(bits_per_symbol_, in.SizeT());
   ETSC_ASSIGN_OR_RETURN(bins_, in.F64Mat());
-  if (bins_.size() != options_.word_length ||
-      bits_per_symbol_ * options_.word_length > 63) {
+  // Only states Fit can produce: WordFromApproximation shifts by
+  // pos * bits_per_symbol_ and indexes bins_[pos], so both must be in range.
+  if (options_.alphabet_size < 2 || options_.alphabet_size > 256 ||
+      bits_per_symbol_ != BitsPerSymbol(options_.alphabet_size) ||
+      options_.word_length > 63 / bits_per_symbol_ ||
+      bins_.size() != options_.word_length) {
     return Status::DataLoss("Sfa: inconsistent fitted state");
+  }
+  for (const auto& bounds : bins_) {
+    if (bounds.size() > options_.alphabet_size - 1 ||
+        !std::is_sorted(bounds.begin(), bounds.end())) {
+      return Status::DataLoss("Sfa: inconsistent fitted boundaries");
+    }
   }
   return in.Leave();
 }

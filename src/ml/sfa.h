@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/serialize.h"
@@ -30,11 +31,12 @@ class Sfa {
  public:
   explicit Sfa(SfaOptions options = {}) : options_(options) {}
 
-  /// Learns boundaries from training windows (all the same size) and their
-  /// class labels (required for information-gain binning; may be empty for
-  /// equi-depth).
-  Status Fit(const std::vector<std::vector<double>>& windows,
-             const std::vector<int>& labels);
+  /// Learns boundaries from every stride-1 window of `window_size` points in
+  /// `series`, read in place (a series shorter than the window contributes
+  /// none). The windows of series i carry class label labels[i] (required for
+  /// information-gain binning; may be empty for equi-depth).
+  Status Fit(std::span<const std::span<const double>> series,
+             size_t window_size, std::span<const int> labels);
 
   /// DFT approximation used for word construction (word_length values).
   std::vector<double> Approximate(const std::vector<double>& window) const;
@@ -43,8 +45,9 @@ class Sfa {
   /// bits each.
   uint64_t Word(const std::vector<double>& window) const;
 
-  /// Word from an already-computed approximation.
-  uint64_t WordFromApproximation(const std::vector<double>& approx) const;
+  /// Word from an already-computed approximation: `approx` points at (at
+  /// least) word_length values, e.g. one row of SlidingDft's output.
+  uint64_t WordFromApproximation(const double* approx) const;
 
   size_t bits_per_symbol() const { return bits_per_symbol_; }
   size_t word_length() const { return options_.word_length; }
@@ -55,6 +58,10 @@ class Sfa {
   const std::vector<std::vector<double>>& bins() const { return bins_; }
 
   /// Persists/restores boundaries plus the predict-relevant options.
+  /// LoadState returns DataLoss unless the state is one Fit can produce:
+  /// alphabet_size in [2, 256], the bits_per_symbol Fit derives from it, a
+  /// word within 63 bits, and word_length boundary rows of at most
+  /// alphabet_size - 1 ascending values.
   void SaveState(Serializer& out) const;
   Status LoadState(Deserializer& in);
 

@@ -1,6 +1,7 @@
 #include "tsc/muse.h"
 
 #include <algorithm>
+#include <span>
 
 #include "core/rng.h"
 #include "ml/chi2.h"
@@ -70,22 +71,13 @@ Status MuseClassifier::Fit(const Dataset& train) {
   sfa_options.binning = SfaBinning::kInformationGain;
 
   transforms_.assign(num_channels, {});
+  std::vector<std::span<const double>> views(train.size());
   for (size_t c = 0; c < num_channels; ++c) {
+    for (size_t i = 0; i < train.size(); ++i) views[i] = channels[i][c];
     transforms_[c].reserve(window_sizes_.size());
     for (size_t win : window_sizes_) {
-      std::vector<std::vector<double>> windows;
-      std::vector<int> labels;
-      for (size_t i = 0; i < train.size(); ++i) {
-        const auto& values = channels[i][c];
-        if (values.size() < win) continue;
-        for (size_t start = 0; start + win <= values.size(); ++start) {
-          windows.emplace_back(values.begin() + start,
-                               values.begin() + start + win);
-          labels.push_back(train.label(i));
-        }
-      }
       Sfa sfa(sfa_options);
-      ETSC_RETURN_NOT_OK(sfa.Fit(windows, labels));
+      ETSC_RETURN_NOT_OK(sfa.Fit(views, win, train.labels()));
       transforms_[c].push_back(std::move(sfa));
     }
   }
@@ -116,12 +108,12 @@ SparseVector MuseClassifier::Transform(
       const auto& values = channels[c];
       if (values.size() < win) continue;
       const size_t num_coeffs = (w.word_length + 1) / 2;
-      const auto coeff_windows = SlidingDft(values, win, num_coeffs, w.norm_mean);
-      std::vector<uint64_t> words(coeff_windows.size());
-      for (size_t s = 0; s < coeff_windows.size(); ++s) {
-        std::vector<double> approx = coeff_windows[s];
-        approx.resize(w.word_length, 0.0);
-        words[s] = transforms_[c][wi].WordFromApproximation(approx);
+      const std::vector<double> coeffs =
+          SlidingDft(values, win, num_coeffs, w.norm_mean);
+      const size_t row = 2 * num_coeffs;
+      std::vector<uint64_t> words(coeffs.size() / row);
+      for (size_t s = 0; s < words.size(); ++s) {
+        words[s] = transforms_[c][wi].WordFromApproximation(&coeffs[s * row]);
       }
       for (size_t s = 0; s < words.size(); ++s) {
         const uint64_t uni = PackMuseKey(c, wi, words[s], 0);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "core/rng.h"
 #include "ml/chi2.h"
@@ -68,19 +69,10 @@ Status WeaselClassifier::Fit(const Dataset& train) {
   sfa_options.alphabet_size = options_.alphabet_size;
   sfa_options.norm_mean = options_.norm_mean;
   sfa_options.binning = SfaBinning::kInformationGain;
+  const std::vector<std::span<const double>> views(series.begin(), series.end());
   for (size_t w : window_sizes_) {
-    std::vector<std::vector<double>> windows;
-    std::vector<int> labels;
-    for (size_t i = 0; i < series.size(); ++i) {
-      if (series[i].size() < w) continue;
-      for (size_t start = 0; start + w <= series[i].size(); ++start) {
-        windows.emplace_back(series[i].begin() + start,
-                             series[i].begin() + start + w);
-        labels.push_back(train.label(i));
-      }
-    }
     Sfa sfa(sfa_options);
-    ETSC_RETURN_NOT_OK(sfa.Fit(windows, labels));
+    ETSC_RETURN_NOT_OK(sfa.Fit(views, w, train.labels()));
     transforms_.push_back(std::move(sfa));
   }
 
@@ -112,13 +104,12 @@ SparseVector WeaselClassifier::Transform(
     const size_t w = window_sizes_[wi];
     if (values.size() < w) continue;
     const size_t num_coeffs = (options_.word_length + 1) / 2;
-    const auto coeff_windows =
+    const std::vector<double> coeffs =
         SlidingDft(values, w, num_coeffs, options_.norm_mean);
-    std::vector<uint64_t> words(coeff_windows.size());
-    for (size_t s = 0; s < coeff_windows.size(); ++s) {
-      std::vector<double> approx = coeff_windows[s];
-      approx.resize(options_.word_length, 0.0);
-      words[s] = transforms_[wi].WordFromApproximation(approx);
+    const size_t row = 2 * num_coeffs;
+    std::vector<uint64_t> words(coeffs.size() / row);
+    for (size_t s = 0; s < words.size(); ++s) {
+      words[s] = transforms_[wi].WordFromApproximation(&coeffs[s * row]);
     }
     for (size_t s = 0; s < words.size(); ++s) {
       const uint64_t uni_key = PackWeaselKey(wi, words[s], 0);

@@ -6,8 +6,11 @@
 #include <cmath>
 #include <cstdint>
 #include <numbers>
+#include <span>
+#include <sstream>
 
 #include "core/rng.h"
+#include "core/serialize.h"
 #include "ml/chi2.h"
 #include "ml/fourier.h"
 #include "ml/sfa.h"
@@ -54,13 +57,14 @@ TEST(SlidingDftFn, MatchesDirectComputation) {
   for (double& v : series) v = rng.Gaussian();
   const size_t w = 16;
   const auto sliding = SlidingDft(series, w, 4, true);
-  ASSERT_EQ(sliding.size(), series.size() - w + 1);
-  for (size_t s = 0; s < sliding.size(); ++s) {
+  const size_t row = 8;  // 4 coefficients, re/im interleaved
+  ASSERT_EQ(sliding.size(), (series.size() - w + 1) * row);
+  for (size_t s = 0; s < sliding.size() / row; ++s) {
     const std::vector<double> window(series.begin() + s, series.begin() + s + w);
     const auto direct = DftCoefficients(window, 4, true);
-    ASSERT_EQ(sliding[s].size(), direct.size());
+    ASSERT_EQ(row, direct.size());
     for (size_t i = 0; i < direct.size(); ++i) {
-      EXPECT_NEAR(sliding[s][i], direct[i], 1e-8) << "window " << s << " i " << i;
+      EXPECT_NEAR(sliding[s * row + i], direct[i], 1e-8) << "window " << s << " i " << i;
     }
   }
 }
@@ -130,7 +134,8 @@ TEST(Sfa, WordsDifferAcrossClasses) {
     labels.push_back(1);
   }
   Sfa sfa;
-  ASSERT_TRUE(sfa.Fit(windows, labels).ok());
+  const std::vector<std::span<const double>> views(windows.begin(), windows.end());
+  ASSERT_TRUE(sfa.Fit(views, 16, labels).ok());
   EXPECT_NE(sfa.Word(windows[0]), sfa.Word(windows[1]));
   // The transform is deterministic.
   EXPECT_EQ(sfa.Word(windows[0]), sfa.Word(windows[0]));
@@ -152,7 +157,8 @@ TEST(Sfa, WordFitsInBits) {
   for (auto& w : windows) {
     for (double& v : w) v = rng.Gaussian();
   }
-  ASSERT_TRUE(sfa.Fit(windows, labels).ok());
+  const std::vector<std::span<const double>> views(windows.begin(), windows.end());
+  ASSERT_TRUE(sfa.Fit(views, 8, labels).ok());
   EXPECT_LT(sfa.Word(windows[0]), 1ull << 12);
 }
 
@@ -161,12 +167,16 @@ TEST(Sfa, RejectsOversizedWord) {
   options.word_length = 40;
   options.alphabet_size = 16;  // 4 bits * 40 > 63
   Sfa sfa(options);
-  EXPECT_FALSE(sfa.Fit({{1.0, 2.0}}, {0}).ok());
+  const std::vector<double> window{1.0, 2.0};
+  const std::vector<std::span<const double>> views{window};
+  EXPECT_FALSE(sfa.Fit(views, 2, std::vector<int>{0}).ok());
 }
 
 TEST(Sfa, SupervisedBinningNeedsLabels) {
   Sfa sfa;
-  EXPECT_FALSE(sfa.Fit({{1.0, 2.0}}, {}).ok());
+  const std::vector<double> window{1.0, 2.0};
+  const std::vector<std::span<const double>> views{window};
+  EXPECT_FALSE(sfa.Fit(views, 2, {}).ok());
 }
 
 TEST(Sfa, EquiDepthModeNeedsNoLabels) {
@@ -178,8 +188,68 @@ TEST(Sfa, EquiDepthModeNeedsNoLabels) {
   for (auto& w : windows) {
     for (double& v : w) v = rng.Gaussian();
   }
-  EXPECT_TRUE(sfa.Fit(windows, {}).ok());
+  const std::vector<std::span<const double>> views(windows.begin(), windows.end());
+  EXPECT_TRUE(sfa.Fit(views, 8, {}).ok());
   EXPECT_TRUE(sfa.fitted());
+}
+
+/// A serialized Sfa state with the given fields, opened for LoadState.
+Deserializer SfaState(size_t word_length, size_t alphabet_size,
+                      size_t bits_per_symbol,
+                      const std::vector<std::vector<double>>& bins) {
+  Serializer out;
+  out.Begin("sfa");
+  out.SizeT(word_length);
+  out.SizeT(alphabet_size);
+  out.Bool(false);
+  out.U8(static_cast<uint8_t>(SfaBinning::kInformationGain));
+  out.SizeT(bits_per_symbol);
+  out.F64Mat(bins);
+  out.End();
+  std::stringstream stream;
+  EXPECT_TRUE(out.Finish(stream, "test", "sfa", "fp").ok());
+  auto in = Deserializer::FromStream(stream);
+  EXPECT_TRUE(in.ok());
+  return std::move(in).value();
+}
+
+TEST(SfaLoadState, AcceptsFittedShape) {
+  Deserializer in = SfaState(2, 4, 2, {{-1.0, 0.0, 1.0}, {0.5}});
+  Sfa sfa;
+  ASSERT_TRUE(sfa.LoadState(in).ok());
+  const std::vector<double> approx{0.7, 0.1};
+  EXPECT_EQ(sfa.WordFromApproximation(approx.data()), 2u);  // symbols 2, 0
+}
+
+TEST(SfaLoadState, RejectsShiftOverflow) {
+  // bits_per_symbol * word_length wraps to 0 in 64 bits; the word would then
+  // be shifted by 2^63.
+  Deserializer in = SfaState(2, 4, size_t{1} << 63, {{0.0}, {0.0}});
+  Sfa sfa;
+  EXPECT_EQ(sfa.LoadState(in).code(), StatusCode::kDataLoss);
+}
+
+TEST(SfaLoadState, RejectsStateFitCannotProduce) {
+  struct Case {
+    const char* what;
+    size_t word_length, alphabet_size, bits_per_symbol;
+    std::vector<std::vector<double>> bins;
+  };
+  const Case cases[] = {
+      {"bits do not match the alphabet", 2, 4, 3, {{0.0}, {0.0}}},
+      {"alphabet below 2", 2, 1, 1, {{}, {}}},
+      {"alphabet above 256", 2, 257, 9, {{}, {}}},
+      {"word beyond 63 bits", 32, 4, 2, std::vector<std::vector<double>>(32)},
+      {"row count differs from word length", 2, 4, 2, {{0.0}}},
+      {"too many boundaries", 2, 4, 2, {{0.0, 1.0, 2.0, 3.0}, {0.0}}},
+      {"descending boundaries", 2, 4, 2, {{1.0, 0.0}, {0.0}}},
+  };
+  for (const Case& c : cases) {
+    Deserializer in =
+        SfaState(c.word_length, c.alphabet_size, c.bits_per_symbol, c.bins);
+    Sfa sfa;
+    EXPECT_EQ(sfa.LoadState(in).code(), StatusCode::kDataLoss) << c.what;
+  }
 }
 
 TEST(Chi2, InformativeFeatureScoresHigher) {

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <span>
 
 #include "algos/registrations.h"
 #include "core/metrics.h"
@@ -112,14 +113,15 @@ TEST_P(SlidingDftPropertyTest, MatchesDirectDftEverywhere) {
   for (double& v : series) v = rng.Gaussian();
   const auto sliding =
       SlidingDft(series, param.window, param.coefficients, param.drop_first);
-  ASSERT_EQ(sliding.size(), series.size() - param.window + 1);
-  for (size_t s = 0; s < sliding.size(); s += 3) {
+  const size_t row = 2 * param.coefficients;
+  ASSERT_EQ(sliding.size(), (series.size() - param.window + 1) * row);
+  for (size_t s = 0; s < sliding.size() / row; s += 3) {
     const std::vector<double> window(series.begin() + s,
                                      series.begin() + s + param.window);
     const auto direct =
         DftCoefficients(window, param.coefficients, param.drop_first);
     for (size_t i = 0; i < direct.size(); ++i) {
-      EXPECT_NEAR(sliding[s][i], direct[i], 1e-8);
+      EXPECT_NEAR(sliding[s * row + i], direct[i], 1e-8);
     }
   }
 }
@@ -155,7 +157,8 @@ TEST_P(SfaPropertyTest, WordsWithinBitBudgetAndDeterministic) {
       v = rng.Gaussian(labels[i] == 0 ? 0.0 : 2.0, 1.0);
     }
   }
-  ASSERT_TRUE(sfa.Fit(windows, labels).ok());
+  const std::vector<std::span<const double>> views(windows.begin(), windows.end());
+  ASSERT_TRUE(sfa.Fit(views, 16, labels).ok());
   size_t bits = 1;
   while ((1u << bits) < param.alphabet) ++bits;
   for (const auto& w : windows) {
