@@ -313,22 +313,25 @@ echo "check.sh: perfbench builds against this tree and campaign-cold matches its
 # shared record log under all three formats and the fabric's control-row
 # parser (record_log_test, fabric_test's FabricLease cases), plus the
 # ETSC_FAULT grammar and its decorator (deadline_fault_test's FaultSpecParse
-# and WrapWithFaults cases).
+# and WrapWithFaults cases), plus the SFA kernels (sfa_freeze_test: the
+# lane-parallel DFT reads overlapping windows in place, and the split search
+# indexes dense label histograms) and Sfa::LoadState's checks on hostile
+# fitted state (fourier_sfa_chi2_test's SfaLoadState cases).
 cmake -B build-asan -S . -DETSC_SANITIZE=address
 cmake --build build-asan -j --target serialization_test corruption_test \
   simd_test trigger_test serving_wal_test record_log_test fabric_test \
-  deadline_fault_test
+  deadline_fault_test sfa_freeze_test fourier_sfa_chi2_test
 ctest --test-dir build-asan --output-on-failure -j"$(nproc)" \
-  -R 'Serialization|DatasetFingerprint|Corruption|Diagnostics|Simd|Soa|Trigger|StaleFormat|GoldenEquivalence|ServingWal|ServingIngestGuard|RecordLog|FabricLease|FaultSpecParse|WrapWithFaults'
+  -R 'Serialization|DatasetFingerprint|Corruption|Diagnostics|Simd|Soa|Trigger|StaleFormat|GoldenEquivalence|ServingWal|ServingIngestGuard|RecordLog|FabricLease|FaultSpecParse|WrapWithFaults|SfaFreeze|WordsFreeze|SfaLoadState'
 
 # UBSan over the same hostile-input suites: bit flips love to manufacture
 # out-of-range enums, shifts and size arithmetic that ASan alone won't flag.
 cmake -B build-ubsan -S . -DETSC_SANITIZE=undefined
 cmake --build build-ubsan -j --target serialization_test corruption_test \
   simd_test trigger_test serving_wal_test record_log_test fabric_test \
-  deadline_fault_test
+  deadline_fault_test sfa_freeze_test fourier_sfa_chi2_test
 ctest --test-dir build-ubsan --output-on-failure -j"$(nproc)" \
-  -R 'Serialization|DatasetFingerprint|Corruption|Diagnostics|Simd|Soa|Trigger|StaleFormat|GoldenEquivalence|ServingWal|ServingIngestGuard|RecordLog|FabricLease|FaultSpecParse|WrapWithFaults'
+  -R 'Serialization|DatasetFingerprint|Corruption|Diagnostics|Simd|Soa|Trigger|StaleFormat|GoldenEquivalence|ServingWal|ServingIngestGuard|RecordLog|FabricLease|FaultSpecParse|WrapWithFaults|SfaFreeze|WordsFreeze|SfaLoadState'
 
 # TSan, oversubscribed: only the targets whose tests exercise the pool, the
 # span/metric recording, the shared campaign journal, the model cache and the
