@@ -2,12 +2,11 @@
 // ETSC algorithms: sliding DFT, SFA words, WEASEL/MiniROCKET transforms,
 // k-means, subseries distance, GBDT and the LSTM forward pass.
 //
-// The custom main additionally measures the parallel substrate (squared
-// kernels vs. the legacy scalar loops; serial vs. pooled CrossValidate and
-// campaign) and writes the numbers to BENCH_parallel.json (path overridable
-// via ETSC_BENCH_PARALLEL_OUT; empty to skip), plus the SIMD substrate
-// (explicit-vector kernels vs. the frozen pre-SIMD scalar implementations)
-// written to BENCH_simd.json (ETSC_BENCH_SIMD_OUT; empty to skip).
+// The custom main additionally measures the SIMD substrate (explicit-vector
+// kernels vs. the frozen pre-SIMD scalar implementations) and writes it,
+// with the host's core count, ISA, ETSC_THREADS and ETSC_SIMD, to
+// BENCH_simd.json (ETSC_BENCH_SIMD_OUT; empty to skip). Serving and pool
+// speed are measured by perfbench/, not here.
 
 #include <benchmark/benchmark.h>
 
@@ -22,12 +21,8 @@
 #include <thread>
 #include <vector>
 
-#include "algos/registrations.h"
-#include "bench/bench_common.h"
 #include "core/env.h"
 #include "core/evaluation.h"
-#include "core/parallel.h"
-#include "core/registry.h"
 #include "core/rng.h"
 #include "core/simd.h"
 #include "ml/distance.h"
@@ -166,41 +161,8 @@ void BM_LstmForward(benchmark::State& state) {
 BENCHMARK(BM_LstmForward)->Range(4, 64)->Complexity(benchmark::oN);
 
 // ---------------------------------------------------------------------------
-// BENCH_parallel.json: squared-kernel and thread-pool speedups
+// BENCH_simd.json: explicit-vector kernels vs. the frozen pre-SIMD scalars
 // ---------------------------------------------------------------------------
-
-// Legacy scalar loops, frozen here as the baseline the squared kernels are
-// measured against (the library versions now delegate to the unrolled code).
-double LegacyEuclideanPrefix(const std::vector<double>& a,
-                             const std::vector<double>& b, size_t len) {
-  len = std::min({len, a.size(), b.size()});
-  double sum = 0.0;
-  for (size_t i = 0; i < len; ++i) {
-    const double d = a[i] - b[i];
-    sum += d * d;
-  }
-  return std::sqrt(sum);
-}
-
-double LegacyMinSubseriesDistance(const std::vector<double>& pattern,
-                                  const std::vector<double>& series) {
-  const size_t m = pattern.size();
-  if (m == 0 || series.size() < m) {
-    return std::numeric_limits<double>::infinity();
-  }
-  double best_sq = std::numeric_limits<double>::infinity();
-  for (size_t start = 0; start + m <= series.size(); ++start) {
-    double sum = 0.0;
-    for (size_t i = 0; i < m; ++i) {
-      const double d = pattern[i] - series[start + i];
-      sum += d * d;
-      if (sum >= best_sq) break;
-    }
-    best_sq = std::min(best_sq, sum);
-    if (best_sq == 0.0) break;
-  }
-  return std::sqrt(best_sq);
-}
 
 /// Wall-clock ns per call of `fn`, doubling the repetition count until the
 /// measurement window exceeds 50ms.
@@ -218,110 +180,6 @@ double NsPerOp(Fn&& fn) {
     reps *= 2;
   }
 }
-
-/// Wall-clock of one CrossValidate of ECTS on a toy dataset at `width`.
-double CrossValidateWallSeconds(size_t width) {
-  etsc::SetMaxParallelism(width);
-  const etsc::Dataset data = etsc::testing::MakeToyDataset(25, 40);
-  etsc::RegisterBuiltinClassifiers();
-  auto ects = etsc::ClassifierRegistry::Global().Create("ects");
-  ETSC_CHECK(ects.ok());
-  etsc::EvaluationOptions options;
-  options.num_folds = 8;
-  const etsc::EvaluationResult result =
-      etsc::CrossValidate(data, **ects, options);
-  etsc::SetMaxParallelism(0);
-  return result.wall_seconds;
-}
-
-/// Wall-clock of a fresh two-cell mini campaign (ECTS on two DodgerLoop
-/// datasets) at `width`; the cache lives under /tmp so runs never collide
-/// with a real campaign journal.
-double CampaignWallSeconds(size_t width, const char* tag) {
-  etsc::SetMaxParallelism(width);
-  etsc::bench::CampaignConfig config;
-  config.algorithms = {"ECTS"};
-  config.datasets = {"DodgerLoopGame", "DodgerLoopWeekend"};
-  config.folds = 2;
-  config.height_scale = 1.0;
-  config.cache_path = std::string("/tmp/etsc_bench_parallel_") + tag + ".csv";
-  std::remove(config.cache_path.c_str());
-  etsc::Stopwatch timer;
-  etsc::bench::Campaign campaign(config);
-  campaign.Run();
-  const double wall = timer.Seconds();
-  std::remove(config.cache_path.c_str());
-  etsc::SetMaxParallelism(0);
-  return wall;
-}
-
-void WriteParallelBench(const char* path) {
-  const auto pattern = RandomSeries(16, 5);
-  const auto series = RandomSeries(4096, 6);
-  const auto vec_a = RandomSeries(512, 7);
-  const auto vec_b = RandomSeries(512, 8);
-
-  const double legacy_minsub_ns = NsPerOp([&] {
-    benchmark::DoNotOptimize(LegacyMinSubseriesDistance(pattern, series));
-  });
-  const double sq_minsub_ns = NsPerOp([&] {
-    benchmark::DoNotOptimize(etsc::MinSubseriesDistanceSq(pattern, series));
-  });
-  const double legacy_prefix_ns = NsPerOp([&] {
-    benchmark::DoNotOptimize(LegacyEuclideanPrefix(vec_a, vec_b, vec_a.size()));
-  });
-  const double sq_prefix_ns = NsPerOp([&] {
-    benchmark::DoNotOptimize(
-        etsc::EuclideanPrefixSq(vec_a, vec_b, vec_a.size()));
-  });
-
-  constexpr size_t kThreads = 8;
-  const double cv_serial = CrossValidateWallSeconds(1);
-  const double cv_parallel = CrossValidateWallSeconds(kThreads);
-  const double campaign_serial = CampaignWallSeconds(1, "serial");
-  const double campaign_parallel = CampaignWallSeconds(kThreads, "parallel");
-
-  std::FILE* out = std::fopen(path, "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path);
-    return;
-  }
-  std::fprintf(out,
-               "{\n"
-               "  \"hardware_concurrency\": %u,\n"
-               "  \"requested_threads\": %zu,\n"
-               "  \"kernels\": {\n"
-               "    \"min_subseries_legacy_ns\": %.1f,\n"
-               "    \"min_subseries_sq_ns\": %.1f,\n"
-               "    \"min_subseries_speedup\": %.3f,\n"
-               "    \"euclidean_prefix_legacy_ns\": %.1f,\n"
-               "    \"euclidean_prefix_sq_ns\": %.1f,\n"
-               "    \"euclidean_prefix_speedup\": %.3f\n"
-               "  },\n"
-               "  \"cross_validate_ects_8fold\": {\n"
-               "    \"serial_wall_s\": %.4f,\n"
-               "    \"parallel_wall_s\": %.4f,\n"
-               "    \"speedup\": %.3f\n"
-               "  },\n"
-               "  \"campaign_2cells\": {\n"
-               "    \"serial_wall_s\": %.4f,\n"
-               "    \"parallel_wall_s\": %.4f,\n"
-               "    \"speedup\": %.3f\n"
-               "  }\n"
-               "}\n",
-               std::thread::hardware_concurrency(), kThreads,
-               legacy_minsub_ns, sq_minsub_ns, legacy_minsub_ns / sq_minsub_ns,
-               legacy_prefix_ns, sq_prefix_ns, legacy_prefix_ns / sq_prefix_ns,
-               cv_serial, cv_parallel, cv_serial / cv_parallel,
-               campaign_serial, campaign_parallel,
-               campaign_serial / campaign_parallel);
-  std::fclose(out);
-  std::fprintf(stderr, "wrote %s\n", path);
-}
-
-// ---------------------------------------------------------------------------
-// BENCH_simd.json: explicit-vector kernels vs. the frozen pre-SIMD scalars
-// ---------------------------------------------------------------------------
 
 // The four baselines below are verbatim freezes of the hot-path
 // implementations as they stood before the simd layer (PR "SoA + SIMD"),
@@ -529,6 +387,7 @@ void WriteSimdBench(const char* path) {
   });
 
   const std::string simd_env = etsc::env::StringOr("ETSC_SIMD", "");
+  const std::string threads_env = etsc::env::StringOr("ETSC_THREADS", "");
   std::FILE* out = std::fopen(path, "w");
   if (out == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path);
@@ -536,6 +395,8 @@ void WriteSimdBench(const char* path) {
   }
   std::fprintf(out,
                "{\n"
+               "  \"hardware_concurrency\": %u,\n"
+               "  \"etsc_threads_env\": \"%s\",\n"
                "  \"isa_compiled\": \"%s\",\n"
                "  \"isa_active\": \"%s\",\n"
                "  \"etsc_simd_env\": \"%s\",\n"
@@ -550,6 +411,7 @@ void WriteSimdBench(const char* path) {
                "\"simd_ns\": %.1f, \"speedup\": %.3f}\n"
                "  }\n"
                "}\n",
+               std::thread::hardware_concurrency(), threads_env.c_str(),
                etsc::simd::CompiledIsa(), etsc::simd::ActiveIsa(),
                simd_env.c_str(),
                minsub_base_ns, minsub_simd_ns, minsub_base_ns / minsub_simd_ns,
@@ -567,9 +429,6 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  const char* out = std::getenv("ETSC_BENCH_PARALLEL_OUT");
-  if (out == nullptr) out = "BENCH_parallel.json";
-  if (*out != '\0') WriteParallelBench(out);
   const char* simd_out = std::getenv("ETSC_BENCH_SIMD_OUT");
   if (simd_out == nullptr) simd_out = "BENCH_simd.json";
   if (*simd_out != '\0') WriteSimdBench(simd_out);

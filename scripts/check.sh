@@ -18,7 +18,8 @@
 # with alpha-weighted cost scores in the report, plus paper-name-vs-spec twin
 # bit-identity over --report-diff, serial and ETSC_THREADS=8), a perf-ledger
 # gate (perfbench builds against this tree and its campaign-cold golden scores
-# still match), then sanitizer
+# still match), a microbenchmark smoke gate (a filtered micro_substrate run
+# leaves the checkout untouched), then sanitizer
 # passes — ASan and
 # UBSan over the suites that parse attacker-shaped bytes (model streams,
 # journals, reports, dataset files), and an oversubscribed ThreadSanitizer
@@ -302,6 +303,26 @@ python3 perfbench/run.py --workload campaign-cold --seed 1 --seconds 1 \
   --trace 0 > "$PERF_DIR/result.txt"
 tail -n 1 "$PERF_DIR/result.txt" | grep -q '"failed":0'
 echo "check.sh: perfbench builds against this tree and campaign-cold matches its golden scores"
+
+# Microbenchmark smoke: one fast micro_substrate benchmark, run from a scratch
+# directory with the BENCH_simd.json writer switched off, must leave the
+# checkout untouched and write no BENCH_*.json file anywhere. perfbench is the
+# one ledger for serving and pool speed; a filtered microbenchmark run must
+# never rewrite a committed BENCH file.
+MICRO_DIR="$(mktemp -d)"
+trap 'rm -rf "$SHARD_DIR" "$SIMD_DIR" "$FAULT_DIR" "$FABRIC_DIR" "$SERVE_DIR" "$COMPOSE_DIR" "$PERF_DIR" "$MICRO_DIR"' EXIT
+(
+  before="$(git status --porcelain)"
+  MICRO_BIN="$PWD/build/bench/micro_substrate"
+  cd "$MICRO_DIR"
+  ETSC_BENCH_SIMD_OUT= "$MICRO_BIN" --benchmark_filter='^BM_SfaWord$' \
+    --benchmark_min_time=0.01 > micro.txt
+  grep -q 'BM_SfaWord' micro.txt
+  test -z "$(find . -name 'BENCH_*.json')"
+  cd - > /dev/null
+  test "$(git status --porcelain)" = "$before"
+)
+echo "check.sh: micro_substrate runs and leaves the checkout untouched"
 
 # ASan: the persistence layer and the loaders parse attacker-shaped bytes
 # (truncated, corrupted, garbage model streams / journals / reports /

@@ -109,9 +109,6 @@ struct ServingOptions {
   /// Buffer-capacity hint per session (StreamingSession expected_length):
   /// the generators' series length makes steady-state pushes allocation-free.
   size_t expected_length = 0;
-  /// Consecutive sessions one pool task dispatches (amortises task dispatch
-  /// for cheap per-session work).
-  size_t batch_grain = 8;
 
   /// Defaults overridden by validated environment knobs (core/env — garbage
   /// values warn and keep the default, like ETSC_THREADS):

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "algos/ects.h"
+#include "core/parallel.h"
 #include "tests/test_util.h"
 
 namespace etsc {
@@ -235,31 +236,37 @@ TEST(ServingEngine, ReplayTraceIsDeterministic) {
 }
 
 TEST(ServingEngine, BatchedDecisionsAreBitIdenticalToSequential) {
-  // The core serving contract: for any batching cadence (and any pool
-  // width), the engine's decisions are bit-identical to replaying each
-  // session through its own single-caller StreamingSession.
+  // The core serving contract: for any batching cadence and any pool width,
+  // the engine's decisions are bit-identical to replaying each session
+  // through its own single-caller StreamingSession. 32 sessions are four
+  // times the engine's dispatch grain of 8, so one dispatch spans several
+  // pool tasks.
   Dataset d = testing::MakeToyDataset(10, 20, 0.0, 3, 0.05);
   auto model = FittedEcts(d);
-  const size_t kSessions = 16;
+  const size_t kSessions = 32;
   const auto trace = BuildReplayTrace(d, kSessions, 7);
 
   const auto expected = ReplaySequential(*model, 1, kSessions, trace);
   ASSERT_EQ(expected.size(), kSessions);
   for (const auto& outcome : expected) EXPECT_FALSE(outcome.failed);
 
-  for (const size_t dispatch_every : {size_t{1}, size_t{7}, size_t{0}}) {
-    ServingEngine engine;
-    ASSERT_TRUE(engine.RegisterModel("ects", model, 1).ok());
-    auto actual =
-        ReplayThroughEngine(engine, "ects", kSessions, trace, dispatch_every);
-    ASSERT_TRUE(actual.ok()) << actual.status().ToString();
-    ASSERT_EQ(actual->size(), expected.size());
-    for (size_t s = 0; s < kSessions; ++s) {
-      EXPECT_EQ((*actual)[s], expected[s])
-          << "session " << s << " diverged at dispatch_every="
-          << dispatch_every;
+  for (const size_t width : {size_t{1}, size_t{4}}) {
+    SetMaxParallelism(width);
+    for (const size_t dispatch_every : {size_t{1}, size_t{7}, size_t{0}}) {
+      ServingEngine engine;
+      ASSERT_TRUE(engine.RegisterModel("ects", model, 1).ok());
+      auto actual =
+          ReplayThroughEngine(engine, "ects", kSessions, trace, dispatch_every);
+      ASSERT_TRUE(actual.ok()) << actual.status().ToString();
+      ASSERT_EQ(actual->size(), expected.size());
+      for (size_t s = 0; s < kSessions; ++s) {
+        EXPECT_EQ((*actual)[s], expected[s])
+            << "session " << s << " diverged at width=" << width
+            << " dispatch_every=" << dispatch_every;
+      }
     }
   }
+  SetMaxParallelism(0);  // restore the ETSC_THREADS / hardware default
 }
 
 TEST(ServingEngine, SessionsAcrossModelsDispatchInOneBatch) {
