@@ -467,6 +467,10 @@ struct TransformCase {
   bool normalize_input;
 };
 
+// Without this gtest prints the raw bytes of the case, `name`'s address among
+// them, and the test names that ctest discovers change with every ASLR layout.
+void PrintTo(const TransformCase& c, std::ostream* os) { *os << c.name; }
+
 class WeaselWordsFreezeTest : public ::testing::TestWithParam<TransformCase> {};
 
 TEST_P(WeaselWordsFreezeTest, VocabularyMatchesReference) {
