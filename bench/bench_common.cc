@@ -39,23 +39,6 @@ namespace etsc::bench {
 
 namespace {
 
-/// Parses "i/N" with 0 <= i < N into a shard selector.
-bool ParseShard(const std::string& spec, size_t* index, size_t* count) {
-  const size_t slash = spec.find('/');
-  if (slash == std::string::npos) return false;
-  const std::string_view view(spec);
-  uint64_t i = 0;
-  uint64_t n = 0;
-  if (!record_log::ParseU64(view.substr(0, slash), &i) ||
-      !record_log::ParseU64(view.substr(slash + 1), &n)) {
-    return false;
-  }
-  if (n == 0 || i >= n) return false;
-  *index = static_cast<size_t>(i);
-  *count = static_cast<size_t>(n);
-  return true;
-}
-
 std::vector<std::string> SplitCommas(const std::string& s) {
   std::vector<std::string> out;
   std::stringstream ss(s);
@@ -80,7 +63,7 @@ CampaignConfig CampaignConfig::FromEnv() {
   config.height_scale = env::NumberOr("campaign", "ETSC_BENCH_SCALE",
                                       config.height_scale, 0.0, 1e6);
   config.folds = env::IntegerOr("campaign", "ETSC_BENCH_FOLDS", config.folds,
-                                0, 1000000);
+                                2, 1000000);
   config.train_budget_seconds = env::NumberOr(
       "campaign", "ETSC_BENCH_BUDGET", config.train_budget_seconds, 0.0, kInf);
   config.predict_budget_seconds =
@@ -100,14 +83,6 @@ CampaignConfig CampaignConfig::FromEnv() {
       env::StringOr("ETSC_BENCH_CACHE", "etsc_campaign_cache.csv");
   config.report_path = env::StringOr("ETSC_BENCH_REPORT", "");
   config.report_only = !env::StringOr("ETSC_BENCH_REPORT_ONLY", "").empty();
-  const std::string shard = env::StringOr("ETSC_BENCH_SHARD", "");
-  if (!shard.empty() && !ParseShard(shard, &config.shard_index,
-                                    &config.shard_count)) {
-    Logf(LogLevel::kWarn, "campaign",
-         "ETSC_BENCH_SHARD=\"%s\" is not \"i/N\" with 0 <= i < N; running "
-         "the whole campaign",
-         shard.c_str());
-  }
   config.supervisor = SupervisorOptions::FromEnv();
   config.fault_spec = env::StringOr("ETSC_FAULT", "");
   return config;
@@ -117,7 +92,7 @@ std::string CampaignConfig::Fingerprint() const {
   // retries and quarantine_after are part of the identity: they decide which
   // cells recover and which are skipped, so journals written under different
   // supervision must not merge. Backoff delay and watchdog grace only shape
-  // wall-clock timing and stay out (like the shard selector and fault spec).
+  // wall-clock timing and stay out (like the fault spec).
   char buf[224];
   std::snprintf(buf, sizeof(buf),
                 "v%d scale=%.3f folds=%zu budget=%.0f pbudget=%.0f "
@@ -186,17 +161,6 @@ Result<std::unique_ptr<EarlyClassifier>> MakePaperAlgorithm(
       "unknown paper algorithm '" + algorithm + "' (known: " + known +
       "; composed '<base>+<trigger>' specs are also accepted, see "
       "etsc_cli --list)");
-}
-
-Campaign::Campaign(CampaignConfig config) : config_(std::move(config)) {
-  if (config_.shard_count > 1) {
-    // Each shard owns a private journal + report; the merge step combines
-    // them. Suffixing here (not in FromEnv) covers configs built in code too.
-    const std::string suffix = ".shard-" + std::to_string(config_.shard_index) +
-                               "-of-" + std::to_string(config_.shard_count);
-    config_.cache_path += suffix;
-    if (!config_.report_path.empty()) config_.report_path += suffix;
-  }
 }
 
 RepositoryOptions Campaign::RepoOptions() const {
@@ -459,19 +423,9 @@ Status Campaign::Run() {
   // algorithm warns exactly once, in deterministic order.
   phase.Restart();
   std::vector<CellJob> jobs;
-  for (size_t b = 0; b < benchmarks.size(); ++b) {
-    const BenchmarkDataset& benchmark = benchmarks[b];
+  for (const BenchmarkDataset& benchmark : benchmarks) {
     const std::string& dataset_name = benchmark.canonical_profile.name;
-    for (size_t a = 0; a < config_.algorithms.size(); ++a) {
-      const std::string& algorithm = config_.algorithms[a];
-      // Shard partition over the FULL dataset-major grid (before any cache
-      // check), so every shard agrees on the assignment regardless of what
-      // each has already journalled.
-      const size_t grid_index = b * config_.algorithms.size() + a;
-      if (config_.shard_count > 1 &&
-          grid_index % config_.shard_count != config_.shard_index) {
-        continue;
-      }
+    for (const std::string& algorithm : config_.algorithms) {
       if (Find(algorithm, dataset_name) != nullptr) continue;  // cached
       if (config_.report_only) continue;  // reporting a running campaign
       auto prototype = MakePaperAlgorithm(algorithm, dataset_name,
@@ -510,7 +464,7 @@ Status Campaign::Run() {
   phase.Restart();
   // Resolved once and shared by every cell: with ETSC_MODEL_CACHE set, folds
   // whose fitted model is already on disk skip Fit entirely (counted as
-  // eval.fits_skipped), which is what makes re-running shards cheap.
+  // eval.fits_skipped), which is what makes re-running a campaign cheap.
   const std::shared_ptr<const ModelCache> model_cache = ModelCache::FromEnv();
   CircuitBreaker breaker(config_.supervisor.quarantine_after);
   // Replay journalled outcomes into the breaker in dataset-major order so a
@@ -874,7 +828,7 @@ Result<MergeSummary> MergeShardJournals(const std::string& out_path,
   for (const auto& path : inputs) {
     record_log::Reader log(path);
     if (!log.exists()) {
-      return Status::IOError("cannot read shard journal " + path);
+      return Status::IOError("cannot read journal " + path);
     }
     ETSC_ASSIGN_OR_RETURN(const record_log::HeaderMatch header,
                           log.CheckHeader(expected_header));
@@ -882,12 +836,12 @@ Result<MergeSummary> MergeShardJournals(const std::string& out_path,
       return Status::DataLoss(path + ": missing journal header line");
     }
     if (header == record_log::HeaderMatch::kForeign) {
-      // Refuse rather than guess: shards from different configs or different
+      // Refuse rather than guess: journals from different configs or different
       // generated data must never be blended into one report. Name both
       // fingerprints so the operator can see exactly what disagrees.
       return Status::FailedPrecondition(
           path + " was written under a different campaign identity — "
-          "refusing to interleave mismatched shards:\n  journal:  " +
+          "refusing to interleave mismatched journals:\n  journal:  " +
           log.header() + "\n  expected: " + expected_header);
     }
     std::string_view row;
@@ -905,7 +859,7 @@ Result<MergeSummary> MergeShardJournals(const std::string& out_path,
       if (inserted) {
         order.push_back(key);
       } else {
-        it->second = std::move(line);  // resumed shard: the freshest row wins
+        it->second = std::move(line);  // resumed journal: the freshest row wins
       }
     }
   }

@@ -7,6 +7,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/categorize.h"
@@ -21,7 +22,7 @@ namespace etsc::bench {
 /// Environment overrides:
 ///   ETSC_BENCH_SCALE     height scale for datasets above 1000 instances
 ///                        (default 0.05; 1.0 = paper-sized)
-///   ETSC_BENCH_FOLDS     stratified CV folds (default 2; paper: 5)
+///   ETSC_BENCH_FOLDS     stratified CV folds, at least 2 (default 2; paper: 5)
 ///   ETSC_BENCH_BUDGET    per-fold training budget in seconds (default 30;
 ///                        stands in for the paper's 48-hour cut-off)
 ///   ETSC_BENCH_PREDICT_BUDGET  per-instance prediction budget in seconds
@@ -47,11 +48,6 @@ namespace etsc::bench {
 ///                        and reports; missing cells print as "--" instead of
 ///                        being computed (useful while a campaign is running
 ///                        in another process)
-///   ETSC_BENCH_SHARD     "i/N": compute only cells whose dataset-major grid
-///                        index is congruent to i mod N (0 <= i < N). Journal
-///                        and report paths are suffixed ".shard-i-of-N";
-///                        shards from the same config merge bit-identically
-///                        (see `etsc_cli --merge-shards`)
 ///   ETSC_RETRY_MAX / ETSC_RETRY_BASE_MS / ETSC_QUARANTINE_AFTER /
 ///   ETSC_WATCHDOG_GRACE  supervisor knobs (core/supervisor.h): bounded Fit
 ///                        retries with deterministic backoff, per-algorithm
@@ -67,13 +63,12 @@ namespace etsc::bench {
 ///                        cancels), "ECTS:die-at:2" (abrupt process exit on
 ///                        the K-th cell, which makes crash drills
 ///                        scriptable). A malformed entry warns and injects
-///                        nothing. Excluded from Fingerprint() like the
-///                        shard selector — it is a harness knob, not a
-///                        result-defining configuration... except that
-///                        injected faults DO change the affected cells'
-///                        results, which is why check.sh compares faulted
-///                        campaigns against clean ones only on unaffected
-///                        algorithms.
+///                        nothing. Excluded from Fingerprint() — it is a
+///                        harness knob, not a result-defining
+///                        configuration... except that injected faults DO
+///                        change the affected cells' results, which is why
+///                        check.sh compares faulted campaigns against clean
+///                        ones only on unaffected algorithms.
 ///   ETSC_LEASE_TTL_MS / ETSC_HEARTBEAT_MS  worker-fabric lease knobs
 ///                        (core/fabric.h): how long an unrenewed lease
 ///                        survives and how often RunWorker renews it.
@@ -98,14 +93,6 @@ struct CampaignConfig {
   /// JSON report destination; empty means `<cache_path>.report.json`.
   std::string report_path;
   bool report_only = false;
-  /// Shard selector: this process computes only grid cells with
-  /// index % shard_count == shard_index (dataset-major over the full
-  /// datasets x algorithms grid, cached or not, so the partition is
-  /// independent of cache state). 0/1 = the whole campaign. Excluded from
-  /// Fingerprint(): all shards of one campaign share a config identity and
-  /// their journals merge under one header.
-  size_t shard_index = 0;
-  size_t shard_count = 1;
   /// Cell-level supervision: Fit retry policy, circuit breaker threshold,
   /// watchdog grace (core/supervisor.h). max_retries and quarantine_after
   /// change which results exist (retried fits succeed, quarantined cells are
@@ -135,15 +122,15 @@ inline constexpr int kJournalFormatVersion = 4;
 /// The journal header line Campaign writes and expects for `config`:
 /// `# <config fingerprint> data=<16-hex combined dataset fingerprint>`.
 /// Generates the configured datasets to hash them, so it costs one repository
-/// pass; shards and the merge step use it to prove they describe the same
-/// inputs. Fails when no configured dataset can be generated.
+/// pass; fabric workers and the merge step use it to prove they describe
+/// the same inputs. Fails when no configured dataset can be generated.
 Result<std::string> JournalHeaderForConfig(const CampaignConfig& config);
 
 struct CampaignCell;
 
 /// Serialises one cell as a sealed journal row (core/record_log.h; no
 /// trailing newline, failure text escaped) with max_digits10 floats — the single row format shared by the
-/// single-process journal writer, the worker fabric, and the shard merge,
+/// single-process journal writer, the worker fabric, and the journal merge,
 /// which is what makes their journals byte-comparable.
 std::string FormatJournalRow(const CampaignCell& cell);
 
@@ -162,7 +149,9 @@ struct MergeSummary {
   bool complete = false;
 };
 
-/// Merges shard/worker journals written under one campaign identity into a
+/// Merges journals written under one campaign identity — a fabric journal,
+/// or one per process of a split by ETSC_BENCH_ALGOS (the algorithm list is
+/// not part of the fingerprint, and each process keeps whole lanes) — into a
 /// single canonical journal at `out_path`: every input's header must equal
 /// `expected_header` (the mismatch diagnostic names both fingerprints),
 /// newer-versioned inputs are rejected with an actionable error, control
@@ -240,7 +229,8 @@ struct CampaignCell {
 /// skipped and its cell recomputed on the next run.
 class Campaign {
  public:
-  explicit Campaign(CampaignConfig config = CampaignConfig::FromEnv());
+  explicit Campaign(CampaignConfig config = CampaignConfig::FromEnv())
+      : config_(std::move(config)) {}
 
   /// Computes (or loads) every cell. Progress goes to the leveled logger
   /// (core/log.h, ETSC_LOG); a machine-readable JSON report — config, cells,

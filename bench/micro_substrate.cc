@@ -2,11 +2,13 @@
 // ETSC algorithms: sliding DFT, SFA words, WEASEL/MiniROCKET transforms,
 // k-means, subseries distance, GBDT and the LSTM forward pass.
 //
-// The custom main additionally measures the SIMD substrate (explicit-vector
-// kernels vs. the frozen pre-SIMD scalar implementations) and writes it,
-// with the host's core count, ISA, ETSC_THREADS and ETSC_SIMD, to
-// BENCH_simd.json (ETSC_BENCH_SIMD_OUT; empty to skip). Serving and pool
-// speed are measured by perfbench/, not here.
+// When ETSC_BENCH_SIMD_OUT names a path, the custom main additionally
+// measures the SIMD substrate (explicit-vector kernels vs. the frozen
+// pre-SIMD scalar implementations) and writes it there, with the host's core
+// count, ISA, ETSC_THREADS and ETSC_SIMD. Re-record the committed file with
+// `ETSC_BENCH_SIMD_OUT=BENCH_simd.json build/bench/micro_substrate`; a plain
+// run writes nothing. Serving and pool speed are measured by perfbench/, not
+// here.
 
 #include <benchmark/benchmark.h>
 
@@ -430,7 +432,6 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   const char* simd_out = std::getenv("ETSC_BENCH_SIMD_OUT");
-  if (simd_out == nullptr) simd_out = "BENCH_simd.json";
-  if (*simd_out != '\0') WriteSimdBench(simd_out);
+  if (simd_out != nullptr && *simd_out != '\0') WriteSimdBench(simd_out);
   return 0;
 }

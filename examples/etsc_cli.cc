@@ -8,8 +8,7 @@
 //   etsc_cli --algo teaser --dataset PowerCons [--folds 5] [--budget 60]
 //   etsc_cli --algo ects --csv my.csv [--variables 3]
 //   etsc_cli --algo ecec --arff my.arff
-//   etsc_cli --campaign [--shard I/N] [--max-retries N] [--quarantine-after N]
-//                                             (config via ETSC_BENCH_* env)
+//   etsc_cli --campaign                       (config via ETSC_BENCH_* env)
 //   etsc_cli --campaign --classifiers weasel,minirocket --triggers prob,ects-mpl
 //            [--cost-alpha A]               (cross-product of composed
 //                                             '<base>+<trigger>' specs as the
@@ -18,7 +17,9 @@
 //                                             processes + continuous merge)
 //   etsc_cli --worker --cache JOURNAL         (join an existing fabric journal)
 //   etsc_cli --merge-shards OUT IN1 IN2 ... [--follow]
-//                                             (combine shard journals + report)
+//                                             (combine fabric journals, or the
+//                                             journals of campaigns split by
+//                                             ETSC_BENCH_ALGOS, + report)
 //   etsc_cli --report-diff A.json B.json [--ignore-algos A,B]
 //            [--map-algo OLD=NEW]           (compare reports modulo timings;
 //                                             --map-algo renames an algorithm
@@ -48,11 +49,14 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -90,16 +94,13 @@ struct CliArgs {
   size_t workers = 0;                    // coordinator: spawn K worker processes
   std::string cache;                     // fabric journal override (--cache)
   bool follow = false;                   // --merge-shards: loop until complete
-  std::string shard;                     // "i/N", with --campaign
   std::string merge_out;                 // destination of --merge-shards
-  std::vector<std::string> merge_inputs; // shard journals to merge
+  std::vector<std::string> merge_inputs; // journals to merge
   std::vector<std::string> diff_reports; // the two --report-diff operands
   std::vector<std::string> ignore_algos; // --report-diff: drop these cells
   // --report-diff: rename algorithm OLD to NEW on both sides before the
   // comparison (paper name vs its composed '<base>+<trigger>' spec).
   std::vector<std::pair<std::string, std::string>> map_algos;
-  int max_retries = -1;                  // --campaign override; -1 = env/default
-  int quarantine_after = -1;             // --campaign override; -1 = env/default
   std::vector<std::string> classifiers;  // cross-product: base classifiers
   std::vector<std::string> triggers;     // cross-product: stopping rules
   double cost_alpha = -1.0;              // report cost ratio; <0 = env/default
@@ -120,8 +121,8 @@ void PrintUsage() {
       "       etsc_cli --algo NAME (--dataset BENCH | --csv FILE [--variables"
       " K] | --arff FILE)\n"
       "                [--folds N] [--budget SECONDS] [--seed S] [--scale F]\n"
-      "       etsc_cli --campaign [--shard I/N] [--max-retries N]\n"
-      "                [--quarantine-after N]    (ETSC_BENCH_* env config;\n"
+      "       etsc_cli --campaign   (ETSC_BENCH_* / ETSC_RETRY_MAX /\n"
+      "                ETSC_QUARANTINE_AFTER env config;\n"
       "                 ETSC_FAULT=ALGO:KIND[:K] injects faults)\n"
       "       etsc_cli --campaign --classifiers A,B --triggers X,Y\n"
       "                [--cost-alpha F]   (campaign over the cross-product of\n"
@@ -132,6 +133,7 @@ void PrintUsage() {
       "       etsc_cli --worker --cache JOURNAL  (attach one worker; owner id\n"
       "                from ETSC_WORKER_ID or pid)\n"
       "       etsc_cli --merge-shards OUT IN1 IN2 ... [--follow]\n"
+      "                (fabric journals, or one per ETSC_BENCH_ALGOS split)\n"
       "       etsc_cli --report-diff A.json B.json [--ignore-algos A,B]\n"
       "                [--map-algo OLD=NEW]  (rename an algorithm before the\n"
       "                 diff: a paper name vs its composed spec)\n"
@@ -145,6 +147,8 @@ void PrintUsage() {
 }
 
 bool ParseArgs(int argc, char** argv, CliArgs* args) {
+  constexpr int64_t kMaxInt = std::numeric_limits<int64_t>::max();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
     auto next = [&](const char* what) -> const char* {
@@ -154,22 +158,41 @@ bool ParseArgs(int argc, char** argv, CliArgs* args) {
       }
       return argv[++i];
     };
+    // Numeric flags follow the ETSC_* knob rules (core/env.h), but a
+    // rejected value is an error that names the flag and its range.
+    auto integer = [&](int64_t lo, int64_t hi, auto* out) {
+      const char* v = next(flag.c_str());
+      if (v == nullptr) return false;
+      const std::optional<int64_t> parsed = etsc::env::ParseInteger(v, lo, hi);
+      if (!parsed) {
+        std::fprintf(stderr, "%s needs an integer in [%lld, %lld], got '%s'\n",
+                     flag.c_str(), static_cast<long long>(lo),
+                     static_cast<long long>(hi), v);
+        return false;
+      }
+      *out = *parsed;
+      return true;
+    };
+    auto number = [&](double lo, double hi, double* out) {
+      const char* v = next(flag.c_str());
+      if (v == nullptr) return false;
+      const std::optional<double> parsed = etsc::env::ParseNumber(v, lo, hi);
+      if (!parsed) {
+        std::fprintf(stderr, "%s needs a number in [%g, %g], got '%s'\n",
+                     flag.c_str(), lo, hi, v);
+        return false;
+      }
+      *out = *parsed;
+      return true;
+    };
     if (flag == "--list") {
       args->list = true;
     } else if (flag == "--serve") {
       args->serve = true;
     } else if (flag == "--sessions") {
-      const char* v = next("--sessions");
-      if (v == nullptr) return false;
-      args->sessions = std::strtoul(v, nullptr, 10);
-      if (args->sessions == 0) {
-        std::fprintf(stderr, "--sessions needs a positive count\n");
-        return false;
-      }
+      if (!integer(1, 1000000, &args->sessions)) return false;
     } else if (flag == "--dispatch-every") {
-      const char* v = next("--dispatch-every");
-      if (v == nullptr) return false;
-      args->dispatch_every = std::strtoul(v, nullptr, 10);
+      if (!integer(0, 1000000000, &args->dispatch_every)) return false;
     } else if (flag == "--serve-report") {
       const char* v = next("--serve-report");
       if (v == nullptr) return false;
@@ -185,23 +208,13 @@ bool ParseArgs(int argc, char** argv, CliArgs* args) {
     } else if (flag == "--worker") {
       args->worker = true;
     } else if (flag == "--workers") {
-      const char* v = next("--workers");
-      if (v == nullptr) return false;
-      args->workers = std::strtoul(v, nullptr, 10);
-      if (args->workers == 0) {
-        std::fprintf(stderr, "--workers needs a positive count\n");
-        return false;
-      }
+      if (!integer(1, 256, &args->workers)) return false;
     } else if (flag == "--cache") {
       const char* v = next("--cache");
       if (v == nullptr) return false;
       args->cache = v;
     } else if (flag == "--follow") {
       args->follow = true;
-    } else if (flag == "--shard") {
-      const char* v = next("--shard");
-      if (v == nullptr) return false;
-      args->shard = v;
     } else if (flag == "--merge-shards") {
       const char* v = next("--merge-shards");
       if (v == nullptr) return false;
@@ -255,21 +268,7 @@ bool ParseArgs(int argc, char** argv, CliArgs* args) {
         if (!item.empty()) args->triggers.push_back(item);
       }
     } else if (flag == "--cost-alpha") {
-      const char* v = next("--cost-alpha");
-      if (v == nullptr) return false;
-      args->cost_alpha = std::strtod(v, nullptr);
-      if (args->cost_alpha < 0.0 || args->cost_alpha > 1.0) {
-        std::fprintf(stderr, "--cost-alpha needs a ratio in [0, 1]\n");
-        return false;
-      }
-    } else if (flag == "--max-retries") {
-      const char* v = next("--max-retries");
-      if (v == nullptr) return false;
-      args->max_retries = std::atoi(v);
-    } else if (flag == "--quarantine-after") {
-      const char* v = next("--quarantine-after");
-      if (v == nullptr) return false;
-      args->quarantine_after = std::atoi(v);
+      if (!number(0.0, 1.0, &args->cost_alpha)) return false;
     } else if (flag == "--algo") {
       const char* v = next("--algo");
       if (v == nullptr) return false;
@@ -287,25 +286,15 @@ bool ParseArgs(int argc, char** argv, CliArgs* args) {
       if (v == nullptr) return false;
       args->arff_path = v;
     } else if (flag == "--variables") {
-      const char* v = next("--variables");
-      if (v == nullptr) return false;
-      args->variables = std::strtoul(v, nullptr, 10);
+      if (!integer(1, 1000000, &args->variables)) return false;
     } else if (flag == "--folds") {
-      const char* v = next("--folds");
-      if (v == nullptr) return false;
-      args->folds = std::strtoul(v, nullptr, 10);
+      if (!integer(2, 1000, &args->folds)) return false;
     } else if (flag == "--budget") {
-      const char* v = next("--budget");
-      if (v == nullptr) return false;
-      args->budget = std::strtod(v, nullptr);
+      if (!number(0.0, kInf, &args->budget)) return false;
     } else if (flag == "--seed") {
-      const char* v = next("--seed");
-      if (v == nullptr) return false;
-      args->seed = std::strtoull(v, nullptr, 10);
+      if (!integer(0, kMaxInt, &args->seed)) return false;
     } else if (flag == "--scale") {
-      const char* v = next("--scale");
-      if (v == nullptr) return false;
-      args->scale = std::strtod(v, nullptr);
+      if (!number(0.0, 1e6, &args->scale)) return false;
     } else if (flag == "--help" || flag == "-h") {
       PrintUsage();
       std::exit(0);
@@ -314,22 +303,6 @@ bool ParseArgs(int argc, char** argv, CliArgs* args) {
       return false;
     }
   }
-  return true;
-}
-
-bool ParseShardSpec(const std::string& spec, size_t* index, size_t* count) {
-  const size_t slash = spec.find('/');
-  if (slash == std::string::npos || slash == 0 || slash + 1 >= spec.size()) {
-    return false;
-  }
-  char* end = nullptr;
-  const unsigned long long i = std::strtoull(spec.c_str(), &end, 10);
-  if (end != spec.c_str() + slash) return false;
-  const unsigned long long n = std::strtoull(spec.c_str() + slash + 1, &end, 10);
-  if (end != spec.c_str() + spec.size()) return false;
-  if (n == 0 || i >= n) return false;
-  *index = static_cast<size_t>(i);
-  *count = static_cast<size_t>(n);
   return true;
 }
 
@@ -368,22 +341,8 @@ int ApplyCompositionFlags(const CliArgs& args) {
   return 0;
 }
 
-int RunCampaign(const CliArgs& args) {
-  auto config = etsc::bench::CampaignConfig::FromEnv();
-  if (!args.shard.empty() &&
-      !ParseShardSpec(args.shard, &config.shard_index, &config.shard_count)) {
-    std::fprintf(stderr, "bad --shard spec '%s' (want I/N with 0 <= I < N)\n",
-                 args.shard.c_str());
-    return 1;
-  }
-  // Flags beat the ETSC_RETRY_*/ETSC_QUARANTINE_AFTER environment.
-  if (args.max_retries >= 0) {
-    config.supervisor.retry.max_retries = args.max_retries;
-  }
-  if (args.quarantine_after >= 0) {
-    config.supervisor.quarantine_after = args.quarantine_after;
-  }
-  etsc::bench::Campaign campaign(std::move(config));
+int RunCampaign() {
+  etsc::bench::Campaign campaign(etsc::bench::CampaignConfig::FromEnv());
   const etsc::Status status = campaign.Run();
   if (!status.ok()) {
     std::fprintf(stderr, "%s\n", status.ToString().c_str());
@@ -398,22 +357,11 @@ int RunCampaign(const CliArgs& args) {
 int WriteMergedReport(etsc::bench::CampaignConfig config,
                       const std::string& journal_path);
 
-void ApplySupervisorFlags(const CliArgs& args,
-                          etsc::bench::CampaignConfig* config) {
-  if (args.max_retries >= 0) {
-    config->supervisor.retry.max_retries = args.max_retries;
-  }
-  if (args.quarantine_after >= 0) {
-    config->supervisor.quarantine_after = args.quarantine_after;
-  }
-}
-
 /// One fabric worker: leases cells from the shared journal until every cell
 /// is terminal (or the lease loop hits a setup error). Workers never write
 /// the report — that is the coordinator's (or --merge-shards') job.
 int RunWorkerProcess(const CliArgs& args) {
   auto config = etsc::bench::CampaignConfig::FromEnv();
-  ApplySupervisorFlags(args, &config);
   if (!args.cache.empty()) config.cache_path = args.cache;
   const char* worker_id = std::getenv("ETSC_WORKER_ID");
   const std::string owner = (worker_id != nullptr && *worker_id != '\0')
@@ -461,17 +409,6 @@ pid_t SpawnWorker(const std::string& exe, const std::string& cache,
 /// ETSC_WORKER_RESTARTS times (default 3, campaign.worker_restarts counts).
 int RunCoordinator(const CliArgs& args, const char* argv0) {
   auto config = etsc::bench::CampaignConfig::FromEnv();
-  ApplySupervisorFlags(args, &config);
-  // Children re-read the environment, so flag overrides must be exported or
-  // the workers would derive a different journal fingerprint.
-  if (args.max_retries >= 0) {
-    ::setenv("ETSC_RETRY_MAX",
-             std::to_string(config.supervisor.retry.max_retries).c_str(), 1);
-  }
-  if (args.quarantine_after >= 0) {
-    ::setenv("ETSC_QUARANTINE_AFTER",
-             std::to_string(config.supervisor.quarantine_after).c_str(), 1);
-  }
   if (!args.cache.empty()) config.cache_path = args.cache;
   const std::string cache = config.cache_path;
   const std::string merged = cache + ".merged.csv";
@@ -585,8 +522,6 @@ int WriteMergedReport(etsc::bench::CampaignConfig config,
   config.cache_path = journal_path;
   config.report_path = journal_path + ".report.json";
   config.report_only = true;
-  config.shard_index = 0;
-  config.shard_count = 1;
   etsc::bench::Campaign campaign(std::move(config));
   const etsc::Status status = campaign.Run();
   if (!status.ok()) {
@@ -597,8 +532,9 @@ int WriteMergedReport(etsc::bench::CampaignConfig config,
   return 0;
 }
 
-/// Combines shard (or fabric) journals written under one campaign config into
-/// a single canonical journal at `out_path`, then writes the merged report.
+/// Combines fabric journals, or the journals of campaigns split by
+/// ETSC_BENCH_ALGOS, written under one campaign config into a single
+/// canonical journal at `out_path`, then writes the merged report.
 /// Every input is validated against the fingerprint this process derives from
 /// ETSC_BENCH_* + the generated data, so journals from a different config or
 /// different data are refused with a diagnostic naming both fingerprints.
@@ -667,7 +603,7 @@ void WriteCanonical(const etsc::json::Value& value, etsc::json::Writer* w) {
 /// Drops every report field that legitimately varies between runs of the same
 /// campaign — timings, thread counts, cache provenance, retry/backoff
 /// telemetry, metric snapshots — so what remains is exactly the result
-/// content that sharding must preserve. Cells of algorithms in
+/// content that a split campaign must preserve. Cells of algorithms in
 /// `ignore_algos` are removed wholesale (with the counts that cover them), so
 /// a fault-injected campaign can be compared to a clean one on the
 /// unaffected algorithms alone (the check.sh fault-matrix gate).
@@ -1121,7 +1057,7 @@ int main(int argc, char** argv) {
     return RunCoordinator(args, argv[0]);
   }
   if (args.campaign) {
-    return RunCampaign(args);
+    return RunCampaign();
   }
 
   if (args.list) {

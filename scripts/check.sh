@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
-# Repo verification: the tier-1 build-and-test pass, a shard-merge
-# equivalence check, a SIMD-vs-scalar kernel equivalence gate (ETSC_SIMD=0
-# and =1 campaigns must be bit-identical), a supervisor fault-matrix gate (injected flaky fits,
+# Repo verification: the tier-1 build-and-test pass, an algorithm-split
+# equivalence check (two campaigns on disjoint ETSC_BENCH_ALGOS, merged, and
+# a two-worker fabric run must both equal one process under a fault that
+# trips the circuit breaker), a SIMD-vs-scalar kernel equivalence gate
+# (ETSC_SIMD=0 and =1 campaigns must be bit-identical), a supervisor
+# fault-matrix gate (injected flaky fits,
 # hung predicts and corrupted model-cache entries must leave unaffected
 # cells bit-identical to a fault-free run; a malformed ETSC_FAULT entry must
 # warn and inject nothing), a worker-fabric crash drill (a
@@ -14,11 +17,12 @@
 # (a serving process dying abruptly mid-dispatch must recover from its
 # session WAL with a bit-identical decision set, and a torn WAL
 # tail must be skipped via Status accounting, never a crash), a composition
-# gate (a 3x3 classifier-x-trigger cross-product campaign sharded and merged
-# with alpha-weighted cost scores in the report, plus paper-name-vs-spec twin
-# bit-identity over --report-diff, serial and ETSC_THREADS=8), a perf-ledger
+# gate (a 3x3 classifier-x-trigger cross-product campaign run by two fabric
+# workers and merged with alpha-weighted cost scores in the report, plus
+# paper-name-vs-spec twin bit-identity over --report-diff, serial and
+# ETSC_THREADS=8), a perf-ledger
 # gate (perfbench builds against this tree and its campaign-cold golden scores
-# still match), a microbenchmark smoke gate (a filtered micro_substrate run
+# still match), a microbenchmark smoke gate (a default micro_substrate run
 # leaves the checkout untouched), then sanitizer
 # passes — ASan and
 # UBSan over the suites that parse attacker-shaped bytes (model streams,
@@ -34,29 +38,50 @@ cmake -B build -S .
 cmake --build build -j
 ctest --test-dir build --output-on-failure -j"$(nproc)"
 
-# Shard-merge smoke test: a tiny 2-shard campaign, merged, must produce a
-# report identical (modulo timings) to the same campaign run in one process.
-SHARD_DIR="$(mktemp -d)"
-trap 'rm -rf "$SHARD_DIR"' EXIT
+# Scratch directories of every gate below; one trap removes them all.
+SCRATCH=()
+trap 'rm -rf "${SCRATCH[@]}"' EXIT
+
+# Algorithm-split gate: splitting by ETSC_BENCH_ALGOS and merging with
+# --merge-shards is how one campaign spans machines that share no filesystem
+# (the algorithm list is not part of the journal fingerprint). Every ECTS fit
+# crashes and the circuit breaker quarantines ECTS after two failed datasets,
+# a decision that needs the algorithm's whole lane: the split-and-merged
+# report and a two-worker fabric run must both equal the single-process run,
+# quarantine skips included.
+SPLIT_DIR="$(mktemp -d)"
+SCRATCH+=("$SPLIT_DIR")
 (
-  export ETSC_BENCH_ALGOS=ECTS ETSC_BENCH_DATASETS=DodgerLoopGame,PowerCons \
-         ETSC_BENCH_FOLDS=2 ETSC_LOG=warn
-  ETSC_BENCH_CACHE="$SHARD_DIR/single.csv" ./build/examples/etsc_cli --campaign
-  ETSC_BENCH_CACHE="$SHARD_DIR/j.csv" ./build/examples/etsc_cli --campaign --shard 0/2
-  ETSC_BENCH_CACHE="$SHARD_DIR/j.csv" ./build/examples/etsc_cli --campaign --shard 1/2
-  ETSC_BENCH_CACHE="$SHARD_DIR/j.csv" ./build/examples/etsc_cli --merge-shards \
-    "$SHARD_DIR/merged.csv" "$SHARD_DIR/j.csv.shard-0-of-2" "$SHARD_DIR/j.csv.shard-1-of-2"
+  export ETSC_BENCH_DATASETS=DodgerLoopGame,PowerCons,DodgerLoopDay,DodgerLoopWeekend \
+         ETSC_BENCH_FOLDS=2 ETSC_FAULT=ECTS:crash ETSC_QUARANTINE_AFTER=2 \
+         ETSC_LOG=warn
+  ETSC_BENCH_ALGOS=ECTS,1nn+prob ETSC_BENCH_CACHE="$SPLIT_DIR/single.csv" \
+    ./build/examples/etsc_cli --campaign
+  test "$(grep -o '"quarantined":true' "$SPLIT_DIR/single.csv.report.json" \
+    | wc -l)" = 2
+  ETSC_BENCH_ALGOS=ECTS ETSC_BENCH_CACHE="$SPLIT_DIR/ects.csv" \
+    ./build/examples/etsc_cli --campaign
+  ETSC_BENCH_ALGOS=1nn+prob ETSC_BENCH_CACHE="$SPLIT_DIR/prob.csv" \
+    ./build/examples/etsc_cli --campaign
+  # The merge derives the expected grid from the union of both algorithm lists.
+  ETSC_BENCH_ALGOS=ECTS,1nn+prob ./build/examples/etsc_cli --merge-shards \
+    "$SPLIT_DIR/merged.csv" "$SPLIT_DIR/ects.csv" "$SPLIT_DIR/prob.csv"
   ./build/examples/etsc_cli --report-diff \
-    "$SHARD_DIR/single.csv.report.json" "$SHARD_DIR/merged.csv.report.json"
+    "$SPLIT_DIR/single.csv.report.json" "$SPLIT_DIR/merged.csv.report.json"
+  ETSC_BENCH_ALGOS=ECTS,1nn+prob ETSC_BENCH_CACHE="$SPLIT_DIR/fabric.csv" \
+    ./build/examples/etsc_cli --campaign --workers 2
+  ./build/examples/etsc_cli --report-diff \
+    "$SPLIT_DIR/single.csv.report.json" \
+    "$SPLIT_DIR/fabric.csv.merged.csv.report.json"
 )
-echo "check.sh: shard merge matches the single-process run"
+echo "check.sh: algorithm split and worker fabric match the single-process run under a tripping breaker"
 
 # SIMD-vs-scalar equivalence: the same mini-campaign under ETSC_SIMD=0 (scalar
 # reference kernels) and ETSC_SIMD=1 (explicit vector kernels) must produce
 # bit-identical reports — the kernel path is a pure execution knob, never a
 # result knob (DESIGN.md sec 13).
 SIMD_DIR="$(mktemp -d)"
-trap 'rm -rf "$SHARD_DIR" "$SIMD_DIR"' EXIT
+SCRATCH+=("$SIMD_DIR")
 (
   export ETSC_BENCH_ALGOS=ECTS ETSC_BENCH_DATASETS=DodgerLoopGame,PowerCons \
          ETSC_BENCH_FOLDS=2 ETSC_LOG=warn
@@ -76,7 +101,7 @@ echo "check.sh: scalar and SIMD kernel paths are bit-identical"
 # (a) run to completion, (b) quarantine exactly the poisoned algorithm, and
 # (c) leave the unaffected ECTS cells bit-identical to a fault-free run.
 FAULT_DIR="$(mktemp -d)"
-trap 'rm -rf "$SHARD_DIR" "$SIMD_DIR" "$FAULT_DIR"' EXIT
+SCRATCH+=("$FAULT_DIR")
 (
   # The supervisor knobs are part of the config fingerprint, so both runs
   # must share them; only the fault spec (a harness knob) differs.
@@ -134,7 +159,7 @@ echo "check.sh: fault matrix contained — quarantine precise, clean cells bit-i
 # survivor must wait out the lease TTL, steal the cell, and finish the grid —
 # zero lost cells, merged report bit-identical to the single-process run.
 FABRIC_DIR="$(mktemp -d)"
-trap 'rm -rf "$SHARD_DIR" "$SIMD_DIR" "$FAULT_DIR" "$FABRIC_DIR"' EXIT
+SCRATCH+=("$FABRIC_DIR")
 (
   export ETSC_BENCH_ALGOS=ECTS ETSC_BENCH_DATASETS=DodgerLoopGame,PowerCons \
          ETSC_BENCH_FOLDS=2 ETSC_LOG=warn \
@@ -184,7 +209,7 @@ echo "check.sh: crash drill survived — lease stolen, zero lost cells, merged r
 # univariate algorithm on the 3-variable Biological dataset, voting-wrapped
 # per variable exactly as a campaign fold wraps it.
 SERVE_DIR="$(mktemp -d)"
-trap 'rm -rf "$SHARD_DIR" "$SIMD_DIR" "$FAULT_DIR" "$FABRIC_DIR" "$SERVE_DIR"' EXIT
+SCRATCH+=("$SERVE_DIR")
 (
   export ETSC_LOG=warn
   ./build/examples/etsc_cli --serve --algo ects --dataset PowerCons \
@@ -198,8 +223,20 @@ trap 'rm -rf "$SHARD_DIR" "$SIMD_DIR" "$FAULT_DIR" "$FABRIC_DIR" "$SERVE_DIR"' E
   ./build/examples/etsc_cli --serve --algo ects --dataset Biological \
     --sessions 100 --dispatch-every 64 --serve-report "$SERVE_DIR/bio.json"
   grep -q '"bit_identical":true' "$SERVE_DIR/bio.json"
+
+  # A malformed numeric flag is a usage error (exit 1) naming the flag and
+  # its range, never a silent 0-second budget or an uncaught exception.
+  rc=0
+  ./build/examples/etsc_cli --algo ects --dataset PowerCons --budget abc \
+    > /dev/null 2> "$SERVE_DIR/budget.err" || rc=$?
+  test "$rc" -eq 1
+  grep -q -- '--budget needs a number' "$SERVE_DIR/budget.err"
+  rc=0
+  ./build/examples/etsc_cli --serve --algo ects --dataset PowerCons \
+    --sessions -1 > /dev/null 2>&1 || rc=$?
+  test "$rc" -eq 1
 )
-echo "check.sh: serving engine batched == sequential, report emitted"
+echo "check.sh: serving engine batched == sequential, report emitted, bad flags rejected"
 
 # Serving chaos drill: the serving process is killed abruptly mid-dispatch
 # (die-at fault, _Exit(86): the session WAL is left exactly as a SIGKILL
@@ -248,30 +285,26 @@ echo "check.sh: serving engine batched == sequential, report emitted"
 echo "check.sh: serving chaos drill — crash recovered from WAL, torn tail skipped, decisions bit-identical"
 
 # Composition gate: the classifier/trigger cross-product (DESIGN.md sec 15).
-# A 3x3 grid (9 composed '<base>+<trigger>' configs) runs as a sharded
-# campaign and merges to one report carrying the alpha-weighted cost score
+# A 3x3 grid (9 composed '<base>+<trigger>' configs) runs on two fabric
+# workers and merges to one report carrying the alpha-weighted cost score
 # per cell; then the paper-name-vs-composed-spec bit-identity contract
 # is enforced over --report-diff (--map-algo renames the paper name onto the
 # composed spec), with the composed campaign run both serial and at
 # ETSC_THREADS=8.
 COMPOSE_DIR="$(mktemp -d)"
-trap 'rm -rf "$SHARD_DIR" "$SIMD_DIR" "$FAULT_DIR" "$FABRIC_DIR" "$SERVE_DIR" "$COMPOSE_DIR"' EXIT
+SCRATCH+=("$COMPOSE_DIR")
 (
   export ETSC_BENCH_DATASETS=PowerCons ETSC_BENCH_FOLDS=2 ETSC_LOG=warn
   GRID=(--classifiers minirocket-logistic,weasel,gbdt
         --triggers prob,ects-mpl,strut-search --cost-alpha 0.5)
+  # The workers inherit the grid the composition flags export.
   ETSC_BENCH_CACHE="$COMPOSE_DIR/grid.csv" \
-    ./build/examples/etsc_cli --campaign --shard 0/2 "${GRID[@]}"
-  ETSC_BENCH_CACHE="$COMPOSE_DIR/grid.csv" \
-    ./build/examples/etsc_cli --campaign --shard 1/2 "${GRID[@]}"
-  # The merge derives the expected grid from the same composition flags.
-  ./build/examples/etsc_cli --merge-shards "$COMPOSE_DIR/merged.csv" \
-    "$COMPOSE_DIR/grid.csv.shard-0-of-2" "$COMPOSE_DIR/grid.csv.shard-1-of-2" \
-    "${GRID[@]}"
-  grep -q '"cost_alpha":0.5' "$COMPOSE_DIR/merged.csv.report.json"
-  test "$(grep -o '"cost":' "$COMPOSE_DIR/merged.csv.report.json" | wc -l)" -ge 9
-  test "$(grep -o '"algorithm":"[a-z0-9-]*+[a-z0-9-]*"' \
-    "$COMPOSE_DIR/merged.csv.report.json" | sort -u | wc -l)" -ge 9
+    ./build/examples/etsc_cli --campaign --workers 2 "${GRID[@]}"
+  REPORT="$COMPOSE_DIR/grid.csv.merged.csv.report.json"
+  grep -q '"cost_alpha":0.5' "$REPORT"
+  test "$(grep -o '"cost":' "$REPORT" | wc -l)" -ge 9
+  test "$(grep -o '"algorithm":"[a-z0-9-]*+[a-z0-9-]*"' "$REPORT" \
+    | sort -u | wc -l)" -ge 9
 
   # ECTS (an alias) vs its composed spec 1nn+ects-mpl: every score bit-identical,
   # whether the composed run is serial or oversubscribed.
@@ -298,24 +331,24 @@ echo "check.sh: composition gate — 3x3 grid merged with cost scores, paper nam
 # against perfbench/golden_campaign.csv; a mismatch, a failed cell or a failed
 # operation shows up as a non-zero "failed" count in its last stdout line.
 PERF_DIR="$(mktemp -d)"
-trap 'rm -rf "$SHARD_DIR" "$SIMD_DIR" "$FAULT_DIR" "$FABRIC_DIR" "$SERVE_DIR" "$COMPOSE_DIR" "$PERF_DIR"' EXIT
+SCRATCH+=("$PERF_DIR")
 python3 perfbench/run.py --workload campaign-cold --seed 1 --seconds 1 \
   --trace 0 > "$PERF_DIR/result.txt"
 tail -n 1 "$PERF_DIR/result.txt" | grep -q '"failed":0'
 echo "check.sh: perfbench builds against this tree and campaign-cold matches its golden scores"
 
 # Microbenchmark smoke: one fast micro_substrate benchmark, run from a scratch
-# directory with the BENCH_simd.json writer switched off, must leave the
+# directory with ETSC_BENCH_SIMD_OUT unset (the default), must leave the
 # checkout untouched and write no BENCH_*.json file anywhere. perfbench is the
-# one ledger for serving and pool speed; a filtered microbenchmark run must
-# never rewrite a committed BENCH file.
+# one ledger for serving and pool speed; BENCH_simd.json is re-recorded only
+# on request, never by a plain microbenchmark run.
 MICRO_DIR="$(mktemp -d)"
-trap 'rm -rf "$SHARD_DIR" "$SIMD_DIR" "$FAULT_DIR" "$FABRIC_DIR" "$SERVE_DIR" "$COMPOSE_DIR" "$PERF_DIR" "$MICRO_DIR"' EXIT
+SCRATCH+=("$MICRO_DIR")
 (
   before="$(git status --porcelain)"
   MICRO_BIN="$PWD/build/bench/micro_substrate"
   cd "$MICRO_DIR"
-  ETSC_BENCH_SIMD_OUT= "$MICRO_BIN" --benchmark_filter='^BM_SfaWord$' \
+  env -u ETSC_BENCH_SIMD_OUT "$MICRO_BIN" --benchmark_filter='^BM_SfaWord$' \
     --benchmark_min_time=0.01 > micro.txt
   grep -q 'BM_SfaWord' micro.txt
   test -z "$(find . -name 'BENCH_*.json')"

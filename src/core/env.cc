@@ -24,21 +24,31 @@ bool OnlyTrailingSpace(const char* rest) {
 
 }  // namespace
 
+std::optional<double> ParseNumber(std::string_view text, double lo,
+                                  double hi) {
+  const std::string copy(text);  // strtod needs a terminated string
+  char* end = nullptr;
+  errno = 0;
+  const double parsed = std::strtod(copy.c_str(), &end);
+  if (end == copy.c_str() || !OnlyTrailingSpace(end) || errno == ERANGE ||
+      !(parsed >= lo) || !(parsed <= hi)) {
+    return std::nullopt;
+  }
+  return parsed;
+}
+
 double NumberOr(const char* subsystem, const char* name, double fallback,
                 double lo, double hi) {
   const char* raw = std::getenv(name);
   if (raw == nullptr || *raw == '\0') return fallback;
-  char* end = nullptr;
-  errno = 0;
-  const double parsed = std::strtod(raw, &end);
-  if (end == raw || !OnlyTrailingSpace(end) || errno == ERANGE ||
-      !(parsed >= lo) || !(parsed <= hi)) {
+  const std::optional<double> parsed = ParseNumber(raw, lo, hi);
+  if (!parsed) {
     Logf(LogLevel::kWarn, subsystem,
          "ignoring invalid %s='%s' (want a number in [%g, %g])", name, raw,
          lo, hi);
     return fallback;
   }
-  return parsed;
+  return *parsed;
 }
 
 std::optional<int64_t> ParseInteger(std::string_view text, int64_t lo,

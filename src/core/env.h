@@ -8,13 +8,16 @@
 
 namespace etsc::env {
 
+/// The number rule of every ETSC_* knob (and of etsc_cli's numeric flags): a
+/// strtod number, surrounding whitespace allowed, value in [lo, hi]. Trailing
+/// junk, overflow, NaN, and infinity unless hi is infinite are nullopt.
+std::optional<double> ParseNumber(std::string_view text, double lo, double hi);
+
 /// Validated numeric environment knob, one contract for every ETSC_* number
 /// (the ETSC_THREADS pattern from the threading layer): unset or empty keeps
-/// the fallback silently; anything that does not parse as a number in
-/// [lo, hi] (trailing junk included; NaN, and infinity unless hi is
-/// infinite) logs a warning under `subsystem` and
-/// keeps the fallback. Never throws, never aborts — a hostile environment can
-/// only ever cost a warning line.
+/// the fallback silently; a value ParseNumber rejects logs a warning under
+/// `subsystem` and keeps the fallback. Never throws, never aborts — a
+/// hostile environment can only ever cost a warning line.
 double NumberOr(const char* subsystem, const char* name, double fallback,
                 double lo, double hi);
 

@@ -11,6 +11,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -400,48 +401,73 @@ TEST(FabricCampaign, OneWorkerCompletesTheGridIdenticallyToTheSerialRun) {
   }
 }
 
+/// The second input of the crash drill: every ECTS fit crashes and the
+/// circuit breaker trips after two failed datasets, so the last two cells
+/// must be quarantined — a decision that depends on the stolen cell's
+/// outcome, and that any split of one algorithm's lane across processes
+/// would get wrong.
+bench::CampaignConfig TrippingBreaker(bench::CampaignConfig config) {
+  config.datasets = {"DodgerLoopGame", "PowerCons", "DodgerLoopDay",
+                     "DodgerLoopWeekend"};
+  config.fault_spec = "ECTS:crash";
+  config.supervisor.quarantine_after = 2;
+  return config;
+}
+
 TEST(FabricCampaign, AKilledWorkersLeaseIsStolenAndTheMergeMatchesSerial) {
   ScopedEnv ttl("ETSC_LEASE_TTL_MS", "200");
   ScopedEnv hb("ETSC_HEARTBEAT_MS", "50");
 
-  auto serial_config = FabricConfig("fabric_drill_ref.csv");
-  bench::Campaign serial(serial_config);
-  ASSERT_TRUE(serial.Run().ok());
+  for (const bool tripping : {false, true}) {
+    SCOPED_TRACE(tripping ? "tripping breaker" : "clean");
+    const std::string tag = tripping ? "_trip" : "";
+    auto serial_config = FabricConfig("fabric_drill_ref" + tag + ".csv");
+    auto config = FabricConfig("fabric_drill" + tag + ".csv");
+    if (tripping) {
+      serial_config = TrippingBreaker(std::move(serial_config));
+      config = TrippingBreaker(std::move(config));
+    }
+    bench::Campaign serial(serial_config);
+    ASSERT_TRUE(serial.Run().ok());
+    const auto quarantined =
+        std::count_if(serial.cells().begin(), serial.cells().end(),
+                      [](const bench::CampaignCell& c) { return c.quarantined; });
+    EXPECT_EQ(quarantined, tripping ? 2 : 0);
 
-  auto config = FabricConfig("fabric_drill.csv");
-  const uint64_t stolen_before = CounterValue("fabric.leases_stolen");
-  {
-    // w1 computes its first cell, then "dies" holding the lease on the
-    // second — the observable journal state of a SIGKILL mid-cell.
-    bench::Campaign w1(config);
-    std::atomic<int> cells{0};
-    bench::WorkerDrillHooks drill;
-    drill.on_cell = [&cells](const std::string&, const std::string&) {
-      return cells.fetch_add(1) < 1;
-    };
-    const Status status = w1.RunWorker("w1", &drill);
-    ASSERT_TRUE(status.ok()) << status.ToString();
-  }
-  {
-    // w2 joins the same journal, waits out the orphaned lease, steals it,
-    // and finishes the grid.
-    bench::Campaign w2(config);
-    const Status status = w2.RunWorker("w2");
-    ASSERT_TRUE(status.ok()) << status.ToString();
-  }
-  EXPECT_GE(CounterValue("fabric.leases_stolen"), stolen_before + 1);
+    const uint64_t stolen_before = CounterValue("fabric.leases_stolen");
+    {
+      // w1 computes its first cell, then "dies" holding the lease on the
+      // second — the observable journal state of a SIGKILL mid-cell.
+      bench::Campaign w1(config);
+      std::atomic<int> cells{0};
+      bench::WorkerDrillHooks drill;
+      drill.on_cell = [&cells](const std::string&, const std::string&) {
+        return cells.fetch_add(1) < 1;
+      };
+      const Status status = w1.RunWorker("w1", &drill);
+      ASSERT_TRUE(status.ok()) << status.ToString();
+    }
+    {
+      // w2 joins the same journal, waits out the orphaned lease, steals it,
+      // and finishes the grid.
+      bench::Campaign w2(config);
+      const Status status = w2.RunWorker("w2");
+      ASSERT_TRUE(status.ok()) << status.ToString();
+    }
+    EXPECT_GE(CounterValue("fabric.leases_stolen"), stolen_before + 1);
 
-  const auto header = bench::JournalHeaderForConfig(config);
-  ASSERT_TRUE(header.ok());
-  const std::string merged_path = config.cache_path + ".merged.csv";
-  const auto merged = bench::MergeShardJournals(merged_path,
-                                                {config.cache_path}, config,
-                                                *header);
-  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
-  EXPECT_TRUE(merged->complete);
-  // Zero lost cells, and every surviving row identical to the serial run.
-  EXPECT_EQ(RowsModuloTimings(merged_path),
-            RowsModuloTimings(serial_config.cache_path));
+    const auto header = bench::JournalHeaderForConfig(config);
+    ASSERT_TRUE(header.ok());
+    const std::string merged_path = config.cache_path + ".merged.csv";
+    const auto merged = bench::MergeShardJournals(
+        merged_path, {config.cache_path}, config, *header);
+    ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+    EXPECT_TRUE(merged->complete);
+    // Zero lost cells, and every surviving row — quarantine skips included —
+    // identical to the serial run.
+    EXPECT_EQ(RowsModuloTimings(merged_path),
+              RowsModuloTimings(serial_config.cache_path));
+  }
 }
 
 TEST(FabricCampaign, MergeRefusesJournalsFromAnotherCampaignIdentity) {

@@ -2,14 +2,15 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "core/env.h"
 #include "core/json.h"
 #include "core/parallel.h"
 #include "core/record_log.h"
@@ -164,91 +165,6 @@ TEST(Journal, TornRowIsSkippedButLaterRowsStillLoad) {
 }
 
 // ---------------------------------------------------------------------------
-// Shardable campaigns
-// ---------------------------------------------------------------------------
-
-/// Journal rows with the two timing fields blanked: what must be identical
-/// between a sharded and an unsharded run (timings legitimately vary).
-std::vector<std::string> RowsModuloTimings(const std::string& path,
-                                           std::string* header) {
-  std::vector<std::string> rows;
-  std::ifstream in(path);
-  std::string line;
-  if (std::getline(in, line) && header != nullptr) *header = line;
-  while (std::getline(in, line)) {
-    std::vector<std::string> fields;
-    std::stringstream ss(line);
-    std::string field;
-    while (std::getline(ss, field, ',')) fields.push_back(field);
-    // algorithm,dataset,trained,acc,f1,earliness,hm,train_s,test_s,
-    // retries,quarantined,failure...
-    if (fields.size() > 8) fields[7] = fields[8] = "";
-    std::string joined;
-    for (const auto& f : fields) joined += f + ",";
-    rows.push_back(joined);
-  }
-  std::sort(rows.begin(), rows.end());
-  return rows;
-}
-
-TEST(CampaignShard, ShardsPartitionTheGridAndMatchTheUnshardedRun) {
-  auto full_config = JournalConfig("journal_shard_full.csv");
-  full_config.algorithms = {"ECTS"};
-  full_config.datasets = {"DodgerLoopGame", "PowerCons"};
-  bench::Campaign full(full_config);
-  full.Run();
-  ASSERT_EQ(full.cells().size(), 2u);
-
-  auto shard_base = JournalConfig("journal_shard.csv");
-  shard_base.algorithms = full_config.algorithms;
-  shard_base.datasets = full_config.datasets;
-  std::vector<const bench::CampaignCell*> shard_cells;
-  std::vector<std::string> shard_paths;
-  for (size_t i = 0; i < 2; ++i) {
-    auto config = shard_base;
-    config.shard_index = i;
-    config.shard_count = 2;
-    bench::Campaign shard(config);
-    // The constructor suffixes the journal path so shards never clobber each
-    // other (or the unsharded journal).
-    EXPECT_EQ(shard.config().cache_path,
-              shard_base.cache_path + ".shard-" + std::to_string(i) + "-of-2");
-    std::remove(shard.config().cache_path.c_str());
-    shard.Run();
-    // The 1x2 grid split two ways: each shard computes exactly one cell.
-    EXPECT_EQ(shard.cells().size(), 1u);
-    shard_paths.push_back(shard.config().cache_path);
-    for (const auto& cell : shard.cells()) {
-      const bench::CampaignCell* reference =
-          full.Find(cell.algorithm, cell.dataset);
-      ASSERT_NE(reference, nullptr) << cell.algorithm << "/" << cell.dataset;
-      // Scores are bit-identical to the unsharded run, not merely close.
-      EXPECT_EQ(cell.accuracy, reference->accuracy);
-      EXPECT_EQ(cell.f1, reference->f1);
-      EXPECT_EQ(cell.earliness, reference->earliness);
-      EXPECT_EQ(cell.harmonic_mean, reference->harmonic_mean);
-    }
-  }
-
-  // Both shard journals carry the SAME header as the unsharded journal (shard
-  // coordinates are excluded from the config fingerprint), and the union of
-  // their rows — timings aside — is exactly the unsharded journal.
-  std::string full_header;
-  std::vector<std::string> merged =
-      RowsModuloTimings(full_config.cache_path, &full_header);
-  std::vector<std::string> combined;
-  for (const auto& path : shard_paths) {
-    std::string header;
-    for (auto& row : RowsModuloTimings(path, &header)) {
-      combined.push_back(std::move(row));
-    }
-    EXPECT_EQ(header, full_header) << path;
-  }
-  std::sort(combined.begin(), combined.end());
-  EXPECT_EQ(combined, merged);
-}
-
-// ---------------------------------------------------------------------------
 // Environment parsing
 // ---------------------------------------------------------------------------
 
@@ -264,6 +180,18 @@ TEST(CampaignEnv, GarbageNumericOverridesFallBackToDefaults) {
   EXPECT_DOUBLE_EQ(config.height_scale, defaults.height_scale);
   EXPECT_DOUBLE_EQ(config.train_budget_seconds, defaults.train_budget_seconds);
   EXPECT_EQ(config.maritime_windows, defaults.maritime_windows);
+
+  // The number rule itself (env::ParseNumber), shared with etsc_cli's flags:
+  // junk, overflow, NaN, out-of-range and (below an infinite bound) infinity
+  // are all rejected.
+  for (const char* bad : {"abc", "2x", " ", "nan", "inf", "1e999", "-0.5",
+                          "2e6"}) {
+    ScopedEnv bad_scale("ETSC_BENCH_SCALE", bad);
+    EXPECT_DOUBLE_EQ(bench::CampaignConfig::FromEnv().height_scale,
+                     defaults.height_scale)
+        << bad;
+    EXPECT_FALSE(env::ParseNumber(bad, 0.0, 1e6).has_value()) << bad;
+  }
 }
 
 TEST(CampaignEnv, ValidNumericOverridesParse) {
@@ -274,6 +202,14 @@ TEST(CampaignEnv, ValidNumericOverridesParse) {
   EXPECT_EQ(config.folds, 5u);
   EXPECT_DOUBLE_EQ(config.height_scale, 0.5);
   EXPECT_DOUBLE_EQ(config.train_budget_seconds, 60.0);
+
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(env::ParseNumber(" 0.25\t", 0.0, 1.0), 0.25);
+  EXPECT_EQ(env::ParseNumber("1e2", 0.0, 1e6), 100.0);
+  EXPECT_EQ(env::ParseNumber("0", 0.0, 1.0), 0.0);  // bounds are inclusive
+  EXPECT_EQ(env::ParseNumber("inf", 0.0, kInf), kInf);
+  ScopedEnv unlimited("ETSC_BENCH_PREDICT_BUDGET", "inf");
+  EXPECT_EQ(bench::CampaignConfig::FromEnv().predict_budget_seconds, kInf);
 }
 
 TEST(CampaignEnv, IntegerKnobsRejectFractionsAndSigns) {
@@ -284,6 +220,12 @@ TEST(CampaignEnv, IntegerKnobsRejectFractionsAndSigns) {
     const bench::CampaignConfig config = bench::CampaignConfig::FromEnv();
     EXPECT_EQ(config.folds, defaults.folds) << bad;
     EXPECT_EQ(config.maritime_windows, defaults.maritime_windows) << bad;
+  }
+  {
+    // Fewer than two folds cannot be split stratified: rejected at the knob
+    // instead of failing a check inside CrossValidate.
+    ScopedEnv one_fold("ETSC_BENCH_FOLDS", "1");
+    EXPECT_EQ(bench::CampaignConfig::FromEnv().folds, defaults.folds);
   }
   ScopedEnv folds("ETSC_BENCH_FOLDS", " 7\t");
   EXPECT_EQ(bench::CampaignConfig::FromEnv().folds, 7u);
