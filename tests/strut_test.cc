@@ -4,7 +4,9 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
+#include "core/parallel.h"
 #include "tests/test_util.h"
 #include "tsc/minirocket.h"
 #include "tsc/weasel.h"
@@ -139,9 +141,53 @@ TEST(Strut, PredictBeforeFitFails) {
 
 TEST(Strut, BudgetExhaustionReported) {
   Dataset d = MakeToyDataset(20, 40);
-  auto model = Strut();
-  model->set_train_budget_seconds(0.0);
-  EXPECT_EQ(model->Fit(d).code(), StatusCode::kDeadlineExceeded);
+  for (size_t width : {size_t{1}, size_t{4}}) {
+    SetMaxParallelism(width);
+    auto model = Strut();
+    model->set_train_budget_seconds(0.0);
+    EXPECT_EQ(model->Fit(d).code(), StatusCode::kDeadlineExceeded)
+        << "width " << width;
+  }
+  SetMaxParallelism(0);
+}
+
+/// The chosen truncation point and every early prediction of
+/// `adaptive-weasel+strut-search` on `d`, fitted at pool width `width`.
+struct StrutRun {
+  size_t truncation_point = 0;
+  std::vector<int> labels;
+  std::vector<size_t> prefixes;
+};
+
+StrutRun RunSWeaselAtWidth(const Dataset& d, size_t width) {
+  SetMaxParallelism(width);
+  StrutRun run;
+  auto model = CreateComposed("adaptive-weasel+strut-search");
+  EXPECT_TRUE(model->Fit(d).ok());
+  run.truncation_point = TruncationPoint(*model);
+  for (size_t i = 0; i < d.size(); ++i) {
+    auto pred = model->PredictEarly(d.instance(i));
+    EXPECT_TRUE(pred.ok());
+    if (!pred.ok()) continue;
+    run.labels.push_back(pred->label);
+    run.prefixes.push_back(pred->prefix_length);
+  }
+  SetMaxParallelism(0);
+  return run;
+}
+
+TEST(Strut, GridIsTheSameAtWidthOneAndFour) {
+  // WEASEL on a univariate toy, WEASEL+MUSE on a multivariate one: the grid's
+  // candidate fits run concurrently at width 4 and inline at width 1.
+  for (const Dataset& d :
+       {MakeToyDataset(15, 30, 0.3), MakeToyMultivariate(10, 24)}) {
+    const StrutRun serial = RunSWeaselAtWidth(d, 1);
+    const StrutRun pooled = RunSWeaselAtWidth(d, 4);
+    EXPECT_EQ(pooled.truncation_point, serial.truncation_point) << d.name();
+    EXPECT_EQ(pooled.labels, serial.labels) << d.name();
+    EXPECT_EQ(pooled.prefixes, serial.prefixes) << d.name();
+    EXPECT_EQ(serial.labels.size(), d.size()) << d.name();
+  }
 }
 
 TEST(Strut, CloneUntrainedKeepsNameAndConfig) {
