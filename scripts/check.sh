@@ -28,8 +28,8 @@
 # UBSan over the suites that parse attacker-shaped bytes (model streams,
 # journals, reports, dataset files), and an oversubscribed ThreadSanitizer
 # pass over the concurrency-sensitive suites (thread pool, tracing/metrics,
-# campaign journal, model cache, supervisor/watchdog, streaming sessions and
-# the serving engine). Run from anywhere inside the repo.
+# campaign journal, model cache, supervisor/watchdog, streaming sessions, the
+# serving engine and STRUT's pooled grid). Run from anywhere inside the repo.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -370,41 +370,47 @@ echo "check.sh: micro_substrate runs and leaves the checkout untouched"
 # and WrapWithFaults cases), plus the SFA kernels (sfa_freeze_test: the
 # lane-parallel DFT reads overlapping windows in place, and the split search
 # indexes dense label histograms) and Sfa::LoadState's checks on hostile
-# fitted state (fourier_sfa_chi2_test's SfaLoadState cases).
+# fitted state (fourier_sfa_chi2_test's SfaLoadState cases), plus the
+# WEASEL/MUSE bag path (bag_freeze_test: the id counters and the column map
+# rebuilt at load) and its refusal of keys that overflow their packed fields,
+# at Fit and on hostile saved state (weasel_muse_test's BagKeyLimits cases).
 cmake -B build-asan -S . -DETSC_SANITIZE=address
 cmake --build build-asan -j --target serialization_test corruption_test \
   simd_test trigger_test serving_wal_test record_log_test fabric_test \
-  deadline_fault_test sfa_freeze_test fourier_sfa_chi2_test
+  deadline_fault_test sfa_freeze_test fourier_sfa_chi2_test bag_freeze_test \
+  weasel_muse_test
 ctest --test-dir build-asan --output-on-failure -j"$(nproc)" \
-  -R 'Serialization|DatasetFingerprint|Corruption|Diagnostics|Simd|Soa|Trigger|StaleFormat|GoldenEquivalence|ServingWal|ServingIngestGuard|RecordLog|FabricLease|FaultSpecParse|WrapWithFaults|SfaFreeze|WordsFreeze|SfaLoadState'
+  -R 'Serialization|DatasetFingerprint|Corruption|Diagnostics|Simd|Soa|Trigger|StaleFormat|GoldenEquivalence|ServingWal|ServingIngestGuard|RecordLog|FabricLease|FaultSpecParse|WrapWithFaults|SfaFreeze|WordsFreeze|SfaLoadState|BagFreeze|BagKeyLimits'
 
 # UBSan over the same hostile-input suites: bit flips love to manufacture
 # out-of-range enums, shifts and size arithmetic that ASan alone won't flag.
 cmake -B build-ubsan -S . -DETSC_SANITIZE=undefined
 cmake --build build-ubsan -j --target serialization_test corruption_test \
   simd_test trigger_test serving_wal_test record_log_test fabric_test \
-  deadline_fault_test sfa_freeze_test fourier_sfa_chi2_test
+  deadline_fault_test sfa_freeze_test fourier_sfa_chi2_test bag_freeze_test \
+  weasel_muse_test
 ctest --test-dir build-ubsan --output-on-failure -j"$(nproc)" \
-  -R 'Serialization|DatasetFingerprint|Corruption|Diagnostics|Simd|Soa|Trigger|StaleFormat|GoldenEquivalence|ServingWal|ServingIngestGuard|RecordLog|FabricLease|FaultSpecParse|WrapWithFaults|SfaFreeze|WordsFreeze|SfaLoadState'
+  -R 'Serialization|DatasetFingerprint|Corruption|Diagnostics|Simd|Soa|Trigger|StaleFormat|GoldenEquivalence|ServingWal|ServingIngestGuard|RecordLog|FabricLease|FaultSpecParse|WrapWithFaults|SfaFreeze|WordsFreeze|SfaLoadState|BagFreeze|BagKeyLimits'
 
 # TSan, oversubscribed: only the targets whose tests exercise the pool, the
 # span/metric recording, the shared campaign journal, the model cache and the
 # supervisor (watchdog thread, breaker-driven lanes) are built — plus the
 # trigger suite, whose golden-equivalence test drives composed classifiers
-# through the pool at width 8, and the streaming-cursor suite, which serves
-# composed cursors through the engine at width 8; the -R filter keeps ctest
-# away from the *_NOT_BUILT placeholders of the rest.
+# through the pool at width 8, the streaming-cursor suite, which serves
+# composed cursors through the engine at width 8, and the STRUT suite, whose
+# grid scores its candidate fits concurrently on the pool; the -R filter
+# keeps ctest away from the *_NOT_BUILT placeholders of the rest.
 cmake -B build-tsan -S . -DETSC_SANITIZE=thread
 cmake --build build-tsan -j --target parallel_test trace_test \
   journal_config_test serialization_test supervisor_test fabric_test \
   streaming_test streaming_cursor_test serving_test serving_wal_test \
-  trigger_test
+  trigger_test strut_test
 # The 'Serving' filter also picks up the WAL/shed/race suites of
 # serving_wal_test; the fork-based die-at death tests are excluded — TSan
 # does not support spawning threads after a multi-threaded fork, and the
 # child's DispatchBatch does exactly that.
 ETSC_THREADS=8 ctest --test-dir build-tsan --output-on-failure -j"$(nproc)" \
-  -R 'Parallel|Trace|Counters|Journal|Campaign|Log|Json|Serialization|DatasetFingerprint|Supervisor|Watchdog|Backoff|CircuitBreaker|CancelToken|Retry|FailureTaxonomy|Fabric|Streaming|Serving|Trigger|StaleFormat|GoldenEquivalence' \
+  -R 'Parallel|Trace|Counters|Journal|Campaign|Log|Json|Serialization|DatasetFingerprint|Supervisor|Watchdog|Backoff|CircuitBreaker|CancelToken|Retry|FailureTaxonomy|Fabric|Streaming|Serving|Trigger|StaleFormat|GoldenEquivalence|Strut' \
   -E 'ServingFaultDeathTest'
 
 echo "check.sh: all green"

@@ -5,6 +5,7 @@
 #include <set>
 
 #include "core/metrics.h"
+#include "core/parallel.h"
 #include "core/rng.h"
 
 namespace etsc {
@@ -87,21 +88,42 @@ Status StrutTrigger::PlanCheckpoints(const Dataset& train,
   }
   std::vector<size_t> candidates(candidate_set.begin(), candidate_set.end());
 
-  double best_score = -1.0;
-  size_t best_t = length;
-  std::vector<double> scores(candidates.size(), -1.0);
-  for (size_t c = 0; c < candidates.size(); ++c) {
+  // The candidates' fits are independent: score them on the pool, longest
+  // first (the full-length fit is about a third of the grid), each into its
+  // own slot. The pick below walks the slots in ascending order with a
+  // strict >, so ties resolve to the shortest length at any pool width.
+  const size_t n = candidates.size();
+  std::vector<double> scores(n, -1.0);
+  std::vector<Status> failures(n);
+  ETSC_RETURN_NOT_OK(ParallelForStatus(n, [&](size_t i) -> Status {
+    const size_t c = n - 1 - i;
     ETSC_RETURN_NOT_OK(deadline.Check("STRUT: train budget exceeded"));
     auto score = ScoreAt(*base, fit, validation, candidates[c], length);
-    if (!score.ok()) continue;  // a length may be unusable for the base model
-    scores[c] = *score;
-    if (*score > best_score) {
-      best_score = *score;
+    // A length may be unusable for the base model; its slot stays at -1.
+    if (score.ok()) {
+      scores[c] = *score;
+    } else {
+      failures[c] = score.status();
+    }
+    return Status::OK();
+  }));
+  double best_score = -1.0;
+  size_t best_t = length;
+  for (size_t c = 0; c < n; ++c) {
+    if (scores[c] > best_score) {
+      best_score = scores[c];
       best_t = candidates[c];
     }
   }
   if (best_score < 0.0) {
-    return Status::Internal("STRUT: no truncation point could be scored");
+    std::string why;
+    for (const Status& failure : failures) {
+      if (!failure.ok()) {
+        why = " (shortest candidate: " + failure.ToString() + ")";
+        break;
+      }
+    }
+    return Status::Internal("STRUT: no truncation point could be scored" + why);
   }
 
   if (options_.search == StrutSearch::kBinary) {

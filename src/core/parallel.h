@@ -11,7 +11,8 @@
 namespace etsc {
 
 /// Shared concurrency substrate: one lazily-started global thread pool that
-/// every parallel loop in the framework (campaign cells, CV folds, MiniROCKET
+/// every parallel loop in the framework (campaign lanes, CV folds, STRUT's
+/// grid of candidate truncation lengths, dispatched longest-first, MiniROCKET
 /// kernel application, EDSC candidate scoring, k-means assignment) draws from,
 /// so the process never oversubscribes the machine no matter how the loops
 /// nest.

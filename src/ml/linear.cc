@@ -7,22 +7,6 @@
 
 namespace etsc {
 
-void SparseVector::SortAndMerge() {
-  std::sort(entries.begin(), entries.end());
-  size_t out = 0;
-  for (size_t i = 0; i < entries.size();) {
-    size_t j = i;
-    double sum = 0.0;
-    while (j < entries.size() && entries[j].first == entries[i].first) {
-      sum += entries[j].second;
-      ++j;
-    }
-    entries[out++] = {entries[i].first, sum};
-    i = j;
-  }
-  entries.resize(out);
-}
-
 double SparseVector::Dot(const std::vector<double>& dense) const {
   double sum = 0.0;
   for (const auto& [idx, val] : entries) {

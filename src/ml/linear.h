@@ -11,13 +11,13 @@
 
 namespace etsc {
 
-/// Sparse feature vector: sorted (index, value) pairs. WEASEL bags-of-words
-/// are extremely sparse, so the logistic solver accepts this form natively.
+/// Sparse feature vector: (index, value) pairs in ascending index order, each
+/// index once; producers append in that order. WEASEL bags-of-words are
+/// extremely sparse, so the logistic solver accepts this form natively.
 struct SparseVector {
   std::vector<std::pair<size_t, double>> entries;
 
   void Add(size_t index, double value) { entries.emplace_back(index, value); }
-  void SortAndMerge();
   double Dot(const std::vector<double>& dense) const;
   double L2Norm() const;
 };

@@ -67,13 +67,13 @@ size_t BestBinarySplit(const std::vector<std::pair<double, int>>& data,
   return best_split;
 }
 
+}  // namespace
+
 size_t BitsPerSymbol(size_t alphabet_size) {
   size_t bits = 1;
   while ((size_t{1} << bits) < alphabet_size) ++bits;
   return bits;
 }
-
-}  // namespace
 
 std::vector<double> EquiDepthBins(std::vector<double> values, size_t num_bins) {
   std::vector<double> bounds;

@@ -71,6 +71,9 @@ class Sfa {
   std::vector<std::vector<double>> bins_;
 };
 
+/// Bits one symbol of an `alphabet_size`-letter SFA word takes (at least 1).
+size_t BitsPerSymbol(size_t alphabet_size);
+
 /// Entropy of a label multiset (natural log).
 double LabelEntropy(const std::vector<int>& labels);
 

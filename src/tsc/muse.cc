@@ -9,11 +9,19 @@
 
 namespace etsc {
 
+namespace {
+
+// Channel and window-index fields of PackMuseKey.
+constexpr size_t kChannelBits = 8;
+constexpr size_t kWindowBits = 7;
+
+}  // namespace
+
 uint64_t PackMuseKey(size_t channel, size_t window_index, uint64_t word,
                      uint64_t prev_plus_1) {
-  ETSC_DCHECK(channel < (1ull << 7));
-  ETSC_DCHECK(window_index < (1ull << 7));
-  ETSC_DCHECK(word < (1ull << 24));
+  ETSC_DCHECK(channel < (1ull << kChannelBits));
+  ETSC_DCHECK(window_index < (1ull << kWindowBits));
+  ETSC_DCHECK(word < (1ull << weasel_detail::kKeyWordBits));
   ETSC_DCHECK(prev_plus_1 < (1ull << 25));
   return (static_cast<uint64_t>(channel) << 56) |
          (static_cast<uint64_t>(window_index) << 49) | (word << 25) |
@@ -57,6 +65,9 @@ Status MuseClassifier::Fit(const Dataset& train) {
   }
   const size_t num_channels =
       num_variables_ * (options_.use_derivatives ? 2 : 1);
+  ETSC_RETURN_NOT_OK(weasel_detail::CheckKeyFields(
+      num_channels, kChannelBits, window_sizes_.size(), kWindowBits,
+      w.word_length, BitsPerSymbol(w.alphabet_size)));
 
   // Channels of every training instance.
   std::vector<std::vector<std::vector<double>>> channels(train.size());
@@ -83,13 +94,15 @@ Status MuseClassifier::Fit(const Dataset& train) {
   }
 
   vocabulary_.clear();
+  weasel_detail::BagCounter counter;
   std::vector<SparseVector> bags(train.size());
   for (size_t i = 0; i < train.size(); ++i) {
-    bags[i] = Transform(channels[i], &vocabulary_);
+    bags[i] = TrainingBag(channels[i], &counter);
   }
 
   selected_ =
       Chi2Select(bags, vocabulary_.size(), train.labels(), w.chi2_threshold);
+  columns_ = weasel_detail::ColumnMap(vocabulary_, selected_);
   std::vector<SparseVector> projected = ProjectFeatures(bags, selected_);
 
   Rng rng(w.seed);
@@ -97,11 +110,10 @@ Status MuseClassifier::Fit(const Dataset& train) {
   return logistic_.FitSparse(projected, selected_.size(), train.labels(), &rng);
 }
 
-SparseVector MuseClassifier::Transform(
-    const std::vector<std::vector<double>>& channels,
-    std::unordered_map<uint64_t, size_t>* grow) const {
+template <typename Visit>
+void MuseClassifier::ForEachKey(
+    const std::vector<std::vector<double>>& channels, Visit&& visit) const {
   const auto& w = options_.weasel;
-  SparseVector bag;
   for (size_t c = 0; c < channels.size() && c < transforms_.size(); ++c) {
     for (size_t wi = 0; wi < window_sizes_.size(); ++wi) {
       const size_t win = window_sizes_[wi];
@@ -116,27 +128,22 @@ SparseVector MuseClassifier::Transform(
         words[s] = transforms_[c][wi].WordFromApproximation(&coeffs[s * row]);
       }
       for (size_t s = 0; s < words.size(); ++s) {
-        const uint64_t uni = PackMuseKey(c, wi, words[s], 0);
-        auto it = vocabulary_.find(uni);
-        if (it == vocabulary_.end()) {
-          if (grow == nullptr) continue;
-          it = grow->emplace(uni, grow->size()).first;
-        }
-        bag.Add(it->second, 1.0);
+        visit(PackMuseKey(c, wi, words[s], 0));
         if (w.use_bigrams && s >= win) {
-          const uint64_t bi = PackMuseKey(c, wi, words[s], words[s - win] + 1);
-          auto bit = vocabulary_.find(bi);
-          if (bit == vocabulary_.end()) {
-            if (grow == nullptr) continue;
-            bit = grow->emplace(bi, grow->size()).first;
-          }
-          bag.Add(bit->second, 1.0);
+          visit(PackMuseKey(c, wi, words[s], words[s - win] + 1));
         }
       }
     }
   }
-  bag.SortAndMerge();
-  return bag;
+}
+
+SparseVector MuseClassifier::TrainingBag(
+    const std::vector<std::vector<double>>& channels,
+    weasel_detail::BagCounter* counter) {
+  ForEachKey(channels, [&](uint64_t key) {
+    counter->Add(vocabulary_.try_emplace(key, vocabulary_.size()).first->second);
+  });
+  return counter->Take();
 }
 
 Result<SparseVector> MuseClassifier::TransformSelected(
@@ -145,7 +152,12 @@ Result<SparseVector> MuseClassifier::TransformSelected(
   if (series.num_variables() != num_variables_) {
     return Status::InvalidArgument("MUSE: variable count mismatch");
   }
-  return ProjectRow(Transform(Channels(series), nullptr), selected_);
+  std::vector<size_t> hits;
+  ForEachKey(Channels(series), [&](uint64_t key) {
+    const size_t column = columns_.Find(key);
+    if (column != weasel_detail::ColumnMap::kNone) hits.push_back(column);
+  });
+  return weasel_detail::ColumnBag(std::move(hits));
 }
 
 Result<int> MuseClassifier::Predict(const TimeSeries& series) const {
@@ -192,6 +204,10 @@ Status MuseClassifier::LoadState(Deserializer& in) {
   ETSC_ASSIGN_OR_RETURN(num_variables_, in.SizeT());
   ETSC_ASSIGN_OR_RETURN(window_sizes_, in.SizeVec());
   ETSC_ASSIGN_OR_RETURN(size_t channels, in.SizeT());
+  if (channels > (size_t{1} << kChannelBits)) {
+    return Status::DataLoss("MUSE: more channels than the key's " +
+                            std::to_string(kChannelBits) + "-bit field holds");
+  }
   transforms_.assign(channels, {});
   for (auto& per_window : transforms_) {
     ETSC_ASSIGN_OR_RETURN(size_t windows, in.SizeT());
@@ -199,10 +215,16 @@ Status MuseClassifier::LoadState(Deserializer& in) {
       return Status::DataLoss("MUSE: transform/window count mismatch");
     }
     per_window.assign(windows, Sfa{});
-    for (Sfa& sfa : per_window) ETSC_RETURN_NOT_OK(sfa.LoadState(in));
+    for (Sfa& sfa : per_window) {
+      ETSC_RETURN_NOT_OK(sfa.LoadState(in));
+      ETSC_RETURN_NOT_OK(weasel_detail::CheckLoadedTransform(
+          sfa, options_.weasel.word_length, channels, kChannelBits, windows,
+          kWindowBits));
+    }
   }
   ETSC_RETURN_NOT_OK(weasel_detail::LoadBagOfPatterns(in, &vocabulary_));
   ETSC_ASSIGN_OR_RETURN(selected_, in.SizeVec());
+  columns_ = weasel_detail::ColumnMap(vocabulary_, selected_);
   ETSC_RETURN_NOT_OK(logistic_.LoadState(in));
   return in.Leave();
 }

@@ -51,8 +51,16 @@ class MuseClassifier : public FullClassifier {
   /// derivatives when enabled.
   std::vector<std::vector<double>> Channels(const TimeSeries& series) const;
 
-  SparseVector Transform(const std::vector<std::vector<double>>& channels,
-                         std::unordered_map<uint64_t, size_t>* grow) const;
+  /// Calls visit(key) for every unigram and bigram key of `channels` under
+  /// the fitted transforms, channel by channel, window size by window size.
+  template <typename Visit>
+  void ForEachKey(const std::vector<std::vector<double>>& channels,
+                  Visit&& visit) const;
+  /// Training bag of one series over vocabulary ids; unseen patterns get the
+  /// next id.
+  SparseVector TrainingBag(const std::vector<std::vector<double>>& channels,
+                           weasel_detail::BagCounter* counter);
+  /// The chi²-selected columns of one series, counted straight from its keys.
   Result<SparseVector> TransformSelected(const TimeSeries& series) const;
 
   MuseOptions options_;
@@ -62,10 +70,15 @@ class MuseClassifier : public FullClassifier {
   std::vector<std::vector<Sfa>> transforms_;
   std::unordered_map<uint64_t, size_t> vocabulary_;
   std::vector<size_t> selected_;
+  // key -> column among selected_; derived from the two above, not saved.
+  weasel_detail::ColumnMap columns_;
   LogisticRegression logistic_;
 };
 
-/// Packs (channel, window, word, prev+1) into a vocabulary key.
+/// Packs (channel, window, word, prev+1) into a vocabulary key: 8 bits of
+/// channel, 7 of window index, a 24-bit word and 25 bits of previous word + 1.
+/// Fit refuses configurations that overflow it, so at most 256 channels: 128
+/// variables with derivatives.
 uint64_t PackMuseKey(size_t channel, size_t window_index, uint64_t word,
                      uint64_t prev_plus_1);
 

@@ -10,8 +10,16 @@
 
 namespace etsc {
 
+namespace {
+
+// Window-index field of PackWeaselKey.
+constexpr size_t kWindowBits = 15;
+
+}  // namespace
+
 uint64_t PackWeaselKey(size_t window_index, uint64_t word, uint64_t prev_plus_1) {
-  ETSC_DCHECK(word < (1ull << 24));
+  ETSC_DCHECK(window_index < (1ull << kWindowBits));
+  ETSC_DCHECK(word < (1ull << weasel_detail::kKeyWordBits));
   ETSC_DCHECK(prev_plus_1 < (1ull << 25));
   return (static_cast<uint64_t>(window_index) << 49) | (word << 25) | prev_plus_1;
 }
@@ -46,6 +54,9 @@ Status WeaselClassifier::Fit(const Dataset& train) {
   if (window_sizes_.empty()) {
     return Status::InvalidArgument("WEASEL: no usable window sizes");
   }
+  ETSC_RETURN_NOT_OK(weasel_detail::CheckKeyFields(
+      1, 0, window_sizes_.size(), kWindowBits, options_.word_length,
+      BitsPerSymbol(options_.alphabet_size)));
 
   // Optionally z-normalise inputs (off by default; see WeaselOptions).
   std::vector<std::vector<double>> series(train.size());
@@ -76,19 +87,18 @@ Status WeaselClassifier::Fit(const Dataset& train) {
     transforms_.push_back(std::move(sfa));
   }
 
-  // Build the vocabulary and the training bags. Transform looks keys up in
-  // vocabulary_ and appends unseen ones to `grow`, so passing vocabulary_ as
-  // both makes training insert while prediction (grow == nullptr) drops.
+  // Build the vocabulary and the training bags.
   vocabulary_.clear();
+  weasel_detail::BagCounter counter;
   std::vector<SparseVector> bags(train.size());
   for (size_t i = 0; i < train.size(); ++i) {
-    bags[i] = Transform(series[i], &vocabulary_);
+    bags[i] = TrainingBag(series[i], &counter);
   }
-  const size_t dim = vocabulary_.size();
-  for (auto& bag : bags) bag.SortAndMerge();
 
   // Chi² feature selection.
-  selected_ = Chi2Select(bags, dim, train.labels(), options_.chi2_threshold);
+  selected_ = Chi2Select(bags, vocabulary_.size(), train.labels(),
+                         options_.chi2_threshold);
+  columns_ = weasel_detail::ColumnMap(vocabulary_, selected_);
   std::vector<SparseVector> projected = ProjectFeatures(bags, selected_);
 
   Rng rng(options_.seed);
@@ -96,10 +106,9 @@ Status WeaselClassifier::Fit(const Dataset& train) {
   return logistic_.FitSparse(projected, selected_.size(), train.labels(), &rng);
 }
 
-SparseVector WeaselClassifier::Transform(
-    const std::vector<double>& values,
-    std::unordered_map<uint64_t, size_t>* grow) const {
-  SparseVector bag;
+template <typename Visit>
+void WeaselClassifier::ForEachKey(const std::vector<double>& values,
+                                  Visit&& visit) const {
   for (size_t wi = 0; wi < window_sizes_.size(); ++wi) {
     const size_t w = window_sizes_[wi];
     if (values.size() < w) continue;
@@ -112,26 +121,20 @@ SparseVector WeaselClassifier::Transform(
       words[s] = transforms_[wi].WordFromApproximation(&coeffs[s * row]);
     }
     for (size_t s = 0; s < words.size(); ++s) {
-      const uint64_t uni_key = PackWeaselKey(wi, words[s], 0);
-      auto it = vocabulary_.find(uni_key);
-      if (it == vocabulary_.end()) {
-        if (grow == nullptr) continue;
-        it = grow->emplace(uni_key, grow->size()).first;
-      }
-      bag.Add(it->second, 1.0);
+      visit(PackWeaselKey(wi, words[s], 0));
       if (options_.use_bigrams && s >= w) {
-        const uint64_t bi_key = PackWeaselKey(wi, words[s], words[s - w] + 1);
-        auto bit = vocabulary_.find(bi_key);
-        if (bit == vocabulary_.end()) {
-          if (grow == nullptr) continue;
-          bit = grow->emplace(bi_key, grow->size()).first;
-        }
-        bag.Add(bit->second, 1.0);
+        visit(PackWeaselKey(wi, words[s], words[s - w] + 1));
       }
     }
   }
-  bag.SortAndMerge();
-  return bag;
+}
+
+SparseVector WeaselClassifier::TrainingBag(const std::vector<double>& values,
+                                           weasel_detail::BagCounter* counter) {
+  ForEachKey(values, [&](uint64_t key) {
+    counter->Add(vocabulary_.try_emplace(key, vocabulary_.size()).first->second);
+  });
+  return counter->Take();
 }
 
 Result<SparseVector> WeaselClassifier::TransformSelected(
@@ -152,7 +155,12 @@ Result<SparseVector> WeaselClassifier::TransformSelected(
     std::span<const double> c = series.channel(0);
     values.assign(c.begin(), c.end());
   }
-  return ProjectRow(Transform(values, nullptr), selected_);
+  std::vector<size_t> hits;
+  ForEachKey(values, [&](uint64_t key) {
+    const size_t column = columns_.Find(key);
+    if (column != weasel_detail::ColumnMap::kNone) hits.push_back(column);
+  });
+  return weasel_detail::ColumnBag(std::move(hits));
 }
 
 Result<int> WeaselClassifier::Predict(const TimeSeries& series) const {
@@ -201,6 +209,90 @@ Status LoadVocabulary(Deserializer& in,
 
 namespace weasel_detail {
 
+SparseVector BagCounter::Take() {
+  std::sort(touched_.begin(), touched_.end());
+  SparseVector bag;
+  bag.entries.reserve(touched_.size());
+  for (size_t id : touched_) {
+    bag.entries.emplace_back(id, static_cast<double>(counts_[id]));
+    counts_[id] = 0;
+  }
+  touched_.clear();
+  return bag;
+}
+
+SparseVector ColumnBag(std::vector<size_t> columns) {
+  std::sort(columns.begin(), columns.end());
+  SparseVector bag;
+  for (size_t i = 0; i < columns.size();) {
+    size_t j = i + 1;
+    while (j < columns.size() && columns[j] == columns[i]) ++j;
+    bag.Add(columns[i], static_cast<double>(j - i));
+    i = j;
+  }
+  return bag;
+}
+
+Status CheckKeyFields(size_t channels, size_t channel_bits, size_t windows,
+                      size_t window_bits, size_t word_length,
+                      size_t bits_per_symbol) {
+  const auto refuse = [](const std::string& what, size_t bits,
+                         const char* field) {
+    return Status::InvalidArgument("bag-of-patterns key: " + what +
+                                   " exceeds the " + std::to_string(bits) +
+                                   "-bit " + field + " field");
+  };
+  if (word_length > kKeyWordBits / bits_per_symbol) {
+    return refuse("a word of " + std::to_string(word_length) + " x " +
+                      std::to_string(bits_per_symbol) + " bits",
+                  kKeyWordBits, "word");
+  }
+  if (windows > (size_t{1} << window_bits)) {
+    return refuse("a count of " + std::to_string(windows) + " window sizes",
+                  window_bits, "window");
+  }
+  if (channels > (size_t{1} << channel_bits)) {
+    return refuse("a count of " + std::to_string(channels) + " channels",
+                  channel_bits, "channel");
+  }
+  return Status::OK();
+}
+
+Status CheckLoadedTransform(const Sfa& sfa, size_t word_length,
+                            size_t channels, size_t channel_bits,
+                            size_t windows, size_t window_bits) {
+  if (sfa.word_length() != word_length) {
+    return Status::DataLoss(
+        "bag-of-patterns: transform word length differs from the model's");
+  }
+  const Status fits =
+      CheckKeyFields(channels, channel_bits, windows, window_bits,
+                     word_length, sfa.bits_per_symbol());
+  return fits.ok() ? fits : Status::DataLoss(fits.message());
+}
+
+ColumnMap::ColumnMap(const std::unordered_map<uint64_t, size_t>& vocabulary,
+                     const std::vector<size_t>& selected) {
+  std::vector<Slot> entries;
+  for (const auto& [key, id] : vocabulary) {
+    const auto it = std::lower_bound(selected.begin(), selected.end(), id);
+    if (it != selected.end() && *it == id) {
+      entries.push_back(Slot{key, static_cast<size_t>(it - selected.begin())});
+    }
+  }
+  // Sized by the entries, not by `selected`: a hostile saved model may give
+  // several keys one id, and a full table would never end a probe.
+  size_t capacity = 8;
+  while (capacity < 2 * entries.size()) capacity *= 2;
+  slots_.resize(capacity);
+  mask_ = capacity - 1;
+  for (const Slot& entry : entries) {
+    size_t i = Hash(entry.key) & mask_;
+    while (slots_[i].column != kNone) i = (i + 1) & mask_;
+    slots_[i] = entry;
+  }
+}
+
 void SaveBagOfPatterns(Serializer& out,
                        const std::unordered_map<uint64_t, size_t>& vocabulary) {
   SaveVocabulary(out, vocabulary);
@@ -245,9 +337,14 @@ Status WeaselClassifier::LoadState(Deserializer& in) {
     return Status::DataLoss("WEASEL: transform/window count mismatch");
   }
   transforms_.assign(count, Sfa{});
-  for (Sfa& sfa : transforms_) ETSC_RETURN_NOT_OK(sfa.LoadState(in));
+  for (Sfa& sfa : transforms_) {
+    ETSC_RETURN_NOT_OK(sfa.LoadState(in));
+    ETSC_RETURN_NOT_OK(weasel_detail::CheckLoadedTransform(
+        sfa, options_.word_length, 1, 0, count, kWindowBits));
+  }
   ETSC_RETURN_NOT_OK(LoadVocabulary(in, &vocabulary_));
   ETSC_ASSIGN_OR_RETURN(selected_, in.SizeVec());
+  columns_ = weasel_detail::ColumnMap(vocabulary_, selected_);
   ETSC_RETURN_NOT_OK(logistic_.LoadState(in));
   return in.Leave();
 }

@@ -261,7 +261,6 @@ TEST(Chi2, InformativeFeatureScoresHigher) {
     labels[i] = i < 10 ? 0 : 1;
     rows[i].Add(i < 10 ? 0 : 1, 1.0);
     rows[i].Add(2, 1.0);
-    rows[i].SortAndMerge();
   }
   const auto scores = Chi2Scores(rows, 3, labels);
   EXPECT_GT(scores[0], scores[2]);

@@ -9,19 +9,6 @@
 namespace etsc {
 namespace {
 
-TEST(SparseVector, SortAndMergeCombinesDuplicates) {
-  SparseVector v;
-  v.Add(5, 1.0);
-  v.Add(2, 2.0);
-  v.Add(5, 3.0);
-  v.SortAndMerge();
-  ASSERT_EQ(v.entries.size(), 2u);
-  EXPECT_EQ(v.entries[0].first, 2u);
-  EXPECT_DOUBLE_EQ(v.entries[0].second, 2.0);
-  EXPECT_EQ(v.entries[1].first, 5u);
-  EXPECT_DOUBLE_EQ(v.entries[1].second, 4.0);
-}
-
 TEST(SparseVector, DotIgnoresOutOfRange) {
   SparseVector v;
   v.Add(0, 2.0);
@@ -84,7 +71,6 @@ TEST(LogisticRegression, SparseFitMatchesUsage) {
   for (int i = 0; i < 40; ++i) {
     const bool positive = i % 2 == 0;
     rows[i].Add(positive ? 0 : 1, 1.0);
-    rows[i].SortAndMerge();
     y[i] = positive ? 1 : 0;
   }
   LogisticRegression model;
